@@ -60,10 +60,10 @@ def simulate(
     ``telemetry=True`` attaches an interval-sampled
     :class:`~repro.telemetry.trace.SimTrace` as ``result.trace``;
     ``check=True`` (or ``$REPRO_CHECK=1``) audits invariants while
-    running.  ``backend`` picks the simulation loop (``"event"``,
-    ``"optimized"``, ``"reference"``; default ``$REPRO_BACKEND`` or the
-    skip-ahead event loop) — the choice never changes the result, only
-    the wall-clock.  Each call builds a fresh
+    running.  ``backend`` picks the simulation loop (``"event"`` or
+    ``"reference"``; default ``$REPRO_BACKEND`` or the skip-ahead event
+    loop) — the choice never changes the result, only the wall-clock.
+    Each call builds a fresh
     :class:`~repro.sim.system.System` — the system itself refuses to run
     twice.
     """

@@ -6,9 +6,9 @@ experiment cache is never consulted, so numbers always reflect the code as
 it is now):
 
 * **tick-loop microbench** — drives the scheduling round directly
-  (``DRAMControllerEngine.tick``, or the event backend's fused per-channel
-  ticker) on a pre-filled request buffer, with no core/cache/event-loop
-  machinery around it.  Isolates the scheduler itself.
+  (``DRAMControllerEngine.tick``) on a pre-filled request buffer, with no
+  core/cache/event-loop machinery around it.  Isolates the scheduler
+  itself.
 * **campaign-preset macrobench** — the ``padc`` 4-core multiprogrammed mix
   used by the campaign presets, run end-to-end through ``System.run`` with
   the scheduling entry point wrapped in a timing accumulator.  Reports
@@ -16,61 +16,42 @@ it is now):
   and *tick-loop throughput* (simulated cycles per second spent inside the
   scheduling round).
 
-Every run can execute against all three backends (the skip-ahead ``event``
-backend, the ``optimized`` incremental heap backend, and the naive
-``reference`` path); their ``SimResult.to_dict()`` outputs are asserted
-identical by :func:`verify_equivalence` before any numbers are reported,
-so a bench report is also an equivalence certificate.
+Every run executes against both backends (the skip-ahead ``event``
+backend and the naive ``reference`` oracle); their ``SimResult.to_dict()``
+outputs are asserted identical by :func:`verify_equivalence` before any
+numbers are reported, so a bench report is also an equivalence
+certificate.
 
-:func:`certify_event_speedup` measures the event backend against the
-optimized heap backend with paired in-process alternation (median of
-per-pair CPU-time ratios — the pairing cancels slow machine drift that
-makes two independent best-of-N aggregates incomparable).  The resulting
-certificate is embedded in the report under ``"certificate"``.
+The report is a schema-versioned JSON document.  It carries no speed
+gate: the benchmark of record is ``python3 perfbench/run.py`` and its
+``compare`` command, which bound every end-to-end metric against the
+parent commit with noise-aware repeats.
 
-The report is a schema-versioned JSON document (``BENCH_10.json``).  The
-regression check compares the optimized/reference *speedup ratios* — a
-machine-independent quantity — against the committed baseline, flagging
-any policy whose tick-loop speedup fell by more than the threshold
-(default 25%).
-
-Schema 3 (this generation) adds the **phase-attribution section**
-(``--phases``; see :mod:`repro.bench.phases`): a cProfile pass over the
-macrobench whose self-time is bucketed into workload / core_cache /
-prefetcher / controller / telemetry / other, plus a scale-matched
-end-to-end ``wall_s`` comparison against the previous-generation
-``BENCH_6.json`` report (which stays schema 2 and is read with the
-version check deliberately relaxed — absolute walls, not ratios, are
-what the front-end optimization is accountable for).
+The **phase-attribution section** (``--phases``; see
+:mod:`repro.bench.phases`) is a cProfile pass over the macrobench whose
+self-time is bucketed into workload / core_cache / prefetcher /
+controller / telemetry / other.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import statistics
 from dataclasses import dataclass
-from time import perf_counter, process_time
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.params import BACKENDS, SystemConfig, baseline_config
 from repro.sim.system import System
 
-SCHEMA_VERSION = 3
-BENCH_NAME = "BENCH_10"
-DEFAULT_REPORT = "BENCH_10.json"
-# Previous-generation report: the wall_s comparison baseline (schema 2).
-PREVIOUS_REPORT = "BENCH_6.json"
+# Schema 4: one column per entry of BACKENDS (event, reference) and no
+# speed certificate or regression side-tables.
+SCHEMA_VERSION = 4
+BENCH_NAME = "BENCH_11"
 
 # The campaign-preset macrobench: the padc 4-core multiprogrammed mix.
 MACRO_MIX: Tuple[str, ...] = ("mcf_06", "libquantum_06", "lucas_00", "hmmer_06")
 MACRO_SEED = 7
-
-# The certificate's default cell: the paper's own prefetch-dropping
-# policy, which measured as the most run-to-run-stable cell on the dev
-# container (fcfs is marginally cheaper per round but noisier).
-CERTIFY_POLICY = "demand-first-apd"
-CERTIFY_PAIRS = 5
 
 # Policies benchmarked (and verified) by default — the golden-equivalence
 # matrix of DESIGN.md §10.
@@ -120,13 +101,13 @@ def _macro_config(policy: str) -> SystemConfig:
 class _TickTimer:
     """Accumulates wall time spent inside the scheduling round.
 
-    For the heap backends it is installed as an instance attribute on the
-    engine (shadowing the bound ``tick`` method), so every call site —
+    For the reference backend it is installed as an instance attribute on
+    the engine (shadowing the bound ``tick`` method), so every call site —
     including the run loop's hoisted local — goes through it.  For the
     event backend (which never calls ``engine.tick``) the per-channel
     ticker closures are wrapped instead; see :func:`_install_tick_timer`.
     The overhead (two ``perf_counter`` calls per round) is identical for
-    every backend, so speedup ratios are unaffected.
+    both backends, so speedup ratios are unaffected.
     """
 
     __slots__ = ("_inner", "elapsed", "calls")
@@ -147,10 +128,11 @@ class _TickTimer:
 def _install_tick_timer(system: System, backend: str) -> _TickTimer:
     """Install round timing on ``system`` for the given backend.
 
-    Heap backends route every scheduling round through ``engine.tick``;
-    the event backend builds one fused ticker closure per channel via
-    ``engine.make_event_ticker`` and calls those directly, so there the
-    factory is shadowed and each closure it returns is wrapped.  All
+    The reference backend routes every scheduling round through
+    ``engine.tick``; the event backend builds one fused ticker closure
+    per channel via ``engine.make_event_ticker`` and calls those
+    directly, so there the factory is shadowed and each closure it
+    returns is wrapped.  All
     wrapped closures share one accumulator, so ``elapsed``/``calls``
     aggregate across channels exactly like the shared-``tick`` path.
     """
@@ -219,14 +201,12 @@ def run_macro(
 
 
 def bench_macro_policy(policy: str, scale: str, repeats: int = 1) -> Dict[str, object]:
-    """Macrobench one policy on every backend; best-of-``repeats``.
+    """Macrobench one policy on both backends; best-of-``repeats``.
 
-    All backends are interleaved within each repeat round so transient
+    The backends are interleaved within each repeat round so transient
     machine load hits them symmetrically.  ``speedup_end_to_end`` and
-    ``speedup_tick_loop`` keep their PR-5 meaning (optimized heap vs
-    naive reference — the regression-check quantity); the event backend's
-    gain over the optimized heap is reported separately as
-    ``speedup_event_end_to_end`` / ``speedup_event_tick_loop``.
+    ``speedup_tick_loop`` are the event backend's gain over the naive
+    reference.
     """
     best: Dict[str, Dict[str, object]] = {}
     for _ in range(max(1, repeats)):
@@ -235,76 +215,16 @@ def bench_macro_policy(policy: str, scale: str, repeats: int = 1) -> Dict[str, o
             incumbent = best.get(backend)
             if incumbent is None or sample["wall_s"] < incumbent["wall_s"]:
                 best[backend] = sample
-    event, opt, ref = best["event"], best["optimized"], best["reference"]
+    event, ref = best["event"], best["reference"]
     return {
         "event": event,
-        "optimized": opt,
         "reference": ref,
         "speedup_end_to_end": round(
-            opt["cycles_per_sec"] / ref["cycles_per_sec"], 3
+            event["cycles_per_sec"] / ref["cycles_per_sec"], 3
         ),
         "speedup_tick_loop": round(
-            opt["tick_cycles_per_sec"] / ref["tick_cycles_per_sec"], 3
+            event["tick_cycles_per_sec"] / ref["tick_cycles_per_sec"], 3
         ),
-        "speedup_event_end_to_end": round(
-            event["cycles_per_sec"] / opt["cycles_per_sec"], 3
-        ),
-        "speedup_event_tick_loop": round(
-            event["tick_cycles_per_sec"] / opt["tick_cycles_per_sec"], 3
-        ),
-    }
-
-
-# -- event-speedup certificate ---------------------------------------------
-
-
-def certify_event_speedup(
-    policy: str = CERTIFY_POLICY,
-    scale: str = "medium",
-    *,
-    pairs: int = CERTIFY_PAIRS,
-    seed: int = MACRO_SEED,
-) -> Dict[str, object]:
-    """Measure event vs optimized with paired in-process alternation.
-
-    Best-of-N aggregates taken minutes apart drift with machine load; a
-    paired design runs the two backends back-to-back and takes the median
-    of the per-pair CPU-time ratios, which cancels slow drift and is
-    robust to individual outlier pairs.  CPU time (``process_time``) is
-    used rather than wall time so a preempted run does not register as a
-    slow backend.  The first (warmup) pair pays allocator/import warmup
-    and is discarded.
-    """
-    sizing = SCALES[scale]
-    accesses = sizing.macro_accesses
-
-    def one(backend: str, n: int) -> float:
-        system = System(
-            _macro_config(policy), list(MACRO_MIX), seed=seed, backend=backend
-        )
-        start = process_time()
-        system.run(n)
-        return process_time() - start
-
-    one("optimized", max(1, accesses // 10))
-    one("event", max(1, accesses // 10))
-    ratios: List[float] = []
-    for _ in range(max(1, pairs)):
-        opt = one("optimized", accesses)
-        event = one("event", accesses)
-        ratios.append(opt / event if event else 1.0)
-    return {
-        "policy": policy,
-        "scale": scale,
-        "accesses_per_core": accesses,
-        "seed": seed,
-        "pairs": len(ratios),
-        "method": (
-            "paired in-process alternation (optimized then event per pair, "
-            "one discarded warmup pair); median of per-pair CPU-time ratios"
-        ),
-        "ratios": [round(ratio, 4) for ratio in ratios],
-        "speedup_event_vs_optimized": round(statistics.median(ratios), 3),
     }
 
 
@@ -327,8 +247,8 @@ def run_micro(
     Only the tick loop is timed; request construction and admission are
     excluded (overflow draining, which happens inside the round, is part
     of the measured path by design — it is part of every real round).
-    The heap backends go through ``engine.tick``; the event backend
-    through its fused per-channel ticker closures.
+    Both backends go through ``engine.tick``, which on the event backend
+    dispatches to the fused per-channel ticker closures.
     """
     sizing = SCALES[scale]
     system = System(
@@ -350,30 +270,17 @@ def run_micro(
     stats = engine.stats
     now = 0
     ticks = 0
-    if backend == "event":
-        tickers = [engine.make_event_ticker(ch) for ch in range(num_channels)]
-        start = perf_counter()
-        while stats.serviced_total + stats.dropped_prefetches < admitted:
-            next_now = None
-            for channel_id in range(num_channels):
-                _, wake = tickers[channel_id](now)
-                ticks += 1
-                if wake is not None and (next_now is None or wake < next_now):
-                    next_now = wake
-            now = next_now if next_now is not None and next_now > now else now + 1
-        elapsed = perf_counter() - start
-    else:
-        tick = engine.tick
-        start = perf_counter()
-        while stats.serviced_total + stats.dropped_prefetches < admitted:
-            next_now = None
-            for channel_id in range(num_channels):
-                _, wake = tick(channel_id, now)
-                ticks += 1
-                if wake is not None and (next_now is None or wake < next_now):
-                    next_now = wake
-            now = next_now if next_now is not None and next_now > now else now + 1
-        elapsed = perf_counter() - start
+    tick = engine.tick
+    start = perf_counter()
+    while stats.serviced_total + stats.dropped_prefetches < admitted:
+        next_now = None
+        for channel_id in range(num_channels):
+            _, wake = tick(channel_id, now)
+            ticks += 1
+            if wake is not None and (next_now is None or wake < next_now):
+                next_now = wake
+        now = next_now if next_now is not None and next_now > now else now + 1
+    elapsed = perf_counter() - start
     return {
         "backend": backend,
         "requests": admitted,
@@ -386,7 +293,7 @@ def run_micro(
 
 
 def bench_micro_policy(policy: str, scale: str, repeats: int = 1) -> Dict[str, object]:
-    """Microbench one policy on every backend; best-of-``repeats``."""
+    """Microbench one policy on both backends; best-of-``repeats``."""
     best: Dict[str, Dict[str, object]] = {}
     for _ in range(max(1, repeats)):
         for backend in BACKENDS:
@@ -394,15 +301,11 @@ def bench_micro_policy(policy: str, scale: str, repeats: int = 1) -> Dict[str, o
             incumbent = best.get(backend)
             if incumbent is None or sample["wall_s"] < incumbent["wall_s"]:
                 best[backend] = sample
-    event, opt, ref = best["event"], best["optimized"], best["reference"]
+    event, ref = best["event"], best["reference"]
     return {
         "event": event,
-        "optimized": opt,
         "reference": ref,
-        "speedup": round(opt["requests_per_sec"] / ref["requests_per_sec"], 3),
-        "speedup_event": round(
-            event["requests_per_sec"] / opt["requests_per_sec"], 3
-        ),
+        "speedup": round(event["requests_per_sec"] / ref["requests_per_sec"], 3),
     }
 
 
@@ -475,7 +378,7 @@ def verify_equivalence(
     seeds: Sequence[int] = VERIFY_SEEDS,
     backends: Sequence[str] = BACKENDS,
 ) -> Dict[str, object]:
-    """All-backend differential over policies × mixes × seeds.
+    """Cross-backend differential over policies × mixes × seeds.
 
     Every backend's ``SimResult.to_dict()`` is compared against the first
     backend's output for the same case.  Returns ``{"cases": N,
@@ -504,7 +407,7 @@ def verify_equivalence(
     return {"cases": cases, "backends": list(backends), "mismatches": mismatches}
 
 
-# -- report + regression ---------------------------------------------------
+# -- report ---------------------------------------------------------------
 
 
 def build_report(
@@ -515,9 +418,6 @@ def build_report(
     verify: bool = True,
     run_micro_bench: bool = True,
     run_trace_bench: bool = True,
-    certify: bool = True,
-    certify_policy: str = CERTIFY_POLICY,
-    certify_pairs: int = CERTIFY_PAIRS,
     phases: bool = False,
     phase_backend: str = "event",
     progress=None,
@@ -548,7 +448,7 @@ def build_report(
         "micro": {"requests": SCALES[scale].micro_requests, "policies": {}},
     }
     if verify:
-        note("verifying event == optimized == reference over the policy matrix ...")
+        note("verifying event == reference over the policy matrix ...")
         report["equivalence"] = verify_equivalence(policies, scale)
     for policy in policies:
         note(f"macrobench {policy} ...")
@@ -571,79 +471,7 @@ def build_report(
     if run_trace_bench:
         note("trace encode/decode throughput ...")
         report["trace"] = bench_trace(scale)
-    if certify:
-        note(
-            f"certifying event speedup ({certify_policy}, "
-            f"{certify_pairs} pairs) ..."
-        )
-        report["certificate"] = certify_event_speedup(
-            certify_policy, scale, pairs=certify_pairs
-        )
     return report
-
-
-def baseline_speedups(
-    baseline: Dict[str, object], scale: str
-) -> Optional[Dict[str, float]]:
-    """Extract the baseline's tick-loop speedups comparable at ``scale``.
-
-    Speedup ratios vary systematically with benchmark sizing (short runs
-    amortize fewer rebuilds), so only same-scale numbers are comparable:
-    the baseline's own macro section when its scale matches, else its
-    ``speedups_by_scale`` side-table (recorded via ``--also-scales`` when
-    the baseline was generated).  ``None`` when no comparable data exists.
-    """
-    if baseline.get("scale") == scale:
-        policies = baseline.get("macro", {}).get("policies", {})
-        return {
-            policy: entry["speedup_tick_loop"]
-            for policy, entry in policies.items()
-            if entry.get("speedup_tick_loop")
-        }
-    per_scale = baseline.get("speedups_by_scale", {}).get(scale)
-    if per_scale:
-        return dict(per_scale)
-    return None
-
-
-def check_regression(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    threshold: float = 0.25,
-) -> List[str]:
-    """Compare speedup ratios against a baseline report.
-
-    The optimized/reference speedup is measured within one process on one
-    machine, so it transfers across machines (unlike absolute cycles/sec).
-    A policy regresses when its tick-loop speedup drops more than
-    ``threshold`` (fractional) below the baseline's recorded value at the
-    same scale.  Returns a list of human-readable failures (empty = pass).
-    """
-    failures: List[str] = []
-    if baseline.get("schema_version") != current.get("schema_version"):
-        return [
-            "baseline schema_version "
-            f"{baseline.get('schema_version')!r} != current "
-            f"{current.get('schema_version')!r}: regenerate the baseline"
-        ]
-    base_speedups = baseline_speedups(baseline, current.get("scale", ""))
-    if base_speedups is None:
-        return []  # no comparable baseline data at this scale
-    cur_policies = current.get("macro", {}).get("policies", {})
-    for policy, base_speedup in base_speedups.items():
-        cur_entry = cur_policies.get(policy)
-        if cur_entry is None:
-            continue  # not benchmarked this run
-        cur_speedup = cur_entry.get("speedup_tick_loop")
-        if not cur_speedup:
-            continue
-        floor = base_speedup * (1.0 - threshold)
-        if cur_speedup < floor:
-            failures.append(
-                f"{policy}: tick-loop speedup {cur_speedup:.2f}x fell below "
-                f"{floor:.2f}x (baseline {base_speedup:.2f}x - {threshold:.0%})"
-            )
-    return failures
 
 
 def load_report(path: str) -> Optional[Dict[str, object]]:

@@ -1,26 +1,21 @@
 """Benchmark CLI: ``python -m repro.bench``.
 
 Runs the tick-loop microbench and the campaign-preset macrobench over the
-policy matrix and all three backends (event / optimized / reference),
-verifies their byte-identity first, measures the event-vs-optimized
-speedup certificate, writes the schema-versioned ``BENCH_10.json``
-report, and (when a committed baseline exists) fails on a >25%
-tick-loop-speedup regression.
+policy matrix and both backends (event / reference), verifies their
+byte-identity first, prints the timings, and writes the schema-versioned
+report when ``--out`` is given.  It exits non-zero only on an
+equivalence mismatch: the speed gate of record is
+``python3 perfbench/run.py`` and its ``compare`` command.
 
 ``--phases`` adds the phase-attributed profile (DESIGN.md §15): one
 cProfile pass per policy whose self-time is bucketed into workload /
 core_cache / prefetcher / controller / telemetry / other, printed as a
-table and recorded in the report.  When the previous-generation
-``BENCH_6.json`` exists at the same scale, the end-to-end ``wall_s`` of
-every policy/backend cell is compared against it (speedups printed and
-recorded; a >50% wall regression fails the run — looser than the
-tick-loop gate because absolute walls drift 10-20% between the machine
-states that recorded the two reports).
+table and recorded in the report.
 
 Examples::
 
     python -m repro.bench --phases --scale tiny   # CI smoke
-    python -m repro.bench --phases --scale medium # regenerate the baseline
+    python -m repro.bench --phases --scale medium --out /tmp/bench.json
     python -m repro.bench --policies padc --profile
 """
 
@@ -31,27 +26,14 @@ import sys
 from typing import List, Optional
 
 from repro.bench import (
-    CERTIFY_PAIRS,
-    CERTIFY_POLICY,
     DEFAULT_POLICIES,
-    DEFAULT_REPORT,
-    PREVIOUS_REPORT,
     SCALES,
-    baseline_speedups,
-    bench_macro_policy,
     build_report,
-    check_regression,
-    load_report,
     run_macro,
     write_report,
 )
-from repro.bench.phases import (
-    WALL_THRESHOLD,
-    best_wall_speedup,
-    check_wall_regression,
-    compare_walls,
-    phase_table,
-)
+from repro.bench.phases import phase_table
+from repro.params import BACKENDS
 
 
 def _profile_macro(policy: str, scale: str, backend: str = "event") -> None:
@@ -99,14 +81,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=DEFAULT_REPORT,
-        help=f"report path (default: {DEFAULT_REPORT})",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_REPORT,
-        help="baseline report for the regression check (default: the "
-        "committed report; read before --out is written)",
+        default=None,
+        help="write the JSON report here (default: print only)",
     )
     parser.add_argument(
         "--repeats",
@@ -115,15 +91,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="best-of-N repeats per measurement (default: 1)",
     )
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="regression threshold on tick-loop speedup (default: 0.25)",
-    )
-    parser.add_argument(
         "--skip-verify",
         action="store_true",
-        help="skip the event==optimized==reference equivalence sweep",
+        help="skip the event==reference equivalence sweep",
     )
     parser.add_argument(
         "--skip-micro",
@@ -136,28 +106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the .rtr trace encode/decode throughput bench",
     )
     parser.add_argument(
-        "--skip-certify",
-        action="store_true",
-        help="skip the paired event-vs-optimized speedup certificate",
-    )
-    parser.add_argument(
-        "--certify-policy",
-        default=CERTIFY_POLICY,
-        help=f"policy cell for the speedup certificate (default: {CERTIFY_POLICY})",
-    )
-    parser.add_argument(
-        "--certify-pairs",
-        type=int,
-        default=CERTIFY_PAIRS,
-        help="paired alternation rounds for the certificate "
-        f"(default: {CERTIFY_PAIRS})",
-    )
-    parser.add_argument(
-        "--no-regression-check",
-        action="store_true",
-        help="do not compare against the baseline report",
-    )
-    parser.add_argument(
         "--phases",
         action="store_true",
         help="add the phase-attributed cProfile breakdown (workload / "
@@ -167,31 +115,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--phase-backend",
         default="event",
-        choices=("event", "optimized", "reference"),
+        choices=BACKENDS,
         help="backend the phase attribution profiles (default: event)",
-    )
-    parser.add_argument(
-        "--wall-baseline",
-        default=PREVIOUS_REPORT,
-        help="previous-generation report for the scale-matched end-to-end "
-        f"wall_s comparison (default: {PREVIOUS_REPORT}; schema version "
-        "deliberately not required to match)",
-    )
-    parser.add_argument(
-        "--wall-threshold",
-        type=float,
-        default=WALL_THRESHOLD,
-        help="regression threshold on the end-to-end wall_s comparison "
-        f"(default: {WALL_THRESHOLD}; looser than --threshold because "
-        "absolute walls drift between the machine states that recorded "
-        "the two reports)",
-    )
-    parser.add_argument(
-        "--also-scales",
-        default="",
-        help="comma-separated extra scales whose tick-loop speedups are "
-        "recorded into the report's speedups_by_scale side-table (makes "
-        "the report usable as a regression baseline at those scales)",
     )
     parser.add_argument(
         "--profile",
@@ -206,9 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _profile_macro(policies[0] if policies else "padc", args.scale)
         return 0
 
-    # Read the baseline before (possibly) overwriting it via --out.
-    baseline = None if args.no_regression_check else load_report(args.baseline)
-
     report = build_report(
         args.scale,
         policies,
@@ -216,9 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         verify=not args.skip_verify,
         run_micro_bench=not args.skip_micro,
         run_trace_bench=not args.skip_trace,
-        certify=not args.skip_certify,
-        certify_policy=args.certify_policy,
-        certify_pairs=args.certify_pairs,
         phases=args.phases,
         phase_backend=args.phase_backend,
         progress=lambda message: print(f"[bench] {message}", flush=True),
@@ -245,10 +164,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for policy, entry in report["macro"]["policies"].items():
         print(
             f"[bench] {policy:18s} event "
-            f"{entry['event']['cycles_per_sec']:>12,.0f} cyc/s "
-            f"({entry['speedup_event_end_to_end']:.2f}x vs optimized) | "
-            f"optimized {entry['optimized']['cycles_per_sec']:>12,.0f} cyc/s "
-            f"({entry['speedup_end_to_end']:.2f}x vs reference, tick-loop "
+            f"{entry['event']['cycles_per_sec']:>12,.0f} cyc/s | reference "
+            f"{entry['reference']['cycles_per_sec']:>12,.0f} cyc/s "
+            f"({entry['speedup_end_to_end']:.2f}x end-to-end, tick-loop "
             f"{entry['speedup_tick_loop']:.2f}x)"
         )
 
@@ -262,15 +180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{trace_bench['entries']:,} entries)"
         )
 
-    certificate = report.get("certificate")
-    if certificate is not None:
-        print(
-            f"[bench] certificate: event backend "
-            f"{certificate['speedup_event_vs_optimized']:.2f}x vs optimized "
-            f"({certificate['policy']}, {certificate['pairs']} pairs, "
-            f"median of paired CPU-time ratios)"
-        )
-
     phases_section = report.get("phases")
     if phases_section is not None:
         print(
@@ -280,80 +189,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in phase_table(phases_section["policies"].values()):
             print(f"[bench]   {line}")
 
-    if not args.no_regression_check:
-        wall_baseline = load_report(args.wall_baseline)
-        if wall_baseline is not None:
-            comparison = compare_walls(report, wall_baseline)
-            if comparison:
-                report["wall_baseline"] = {
-                    "path": args.wall_baseline,
-                    "bench": wall_baseline.get("bench"),
-                    "scale": wall_baseline.get("scale"),
-                    "comparison": comparison,
-                }
-                best = best_wall_speedup(comparison)
-                print(
-                    f"[bench] wall vs {args.wall_baseline}: best "
-                    f"{best['speedup']:.2f}x ({best['policy']}/"
-                    f"{best['backend']}, {best['baseline_wall_s']:.3f}s -> "
-                    f"{best['wall_s']:.3f}s)"
-                )
-                wall_failures = check_wall_regression(
-                    report, wall_baseline, args.wall_threshold
-                )
-                if wall_failures:
-                    print(
-                        f"[bench] WALL REGRESSION vs {args.wall_baseline}:",
-                        file=sys.stderr,
-                    )
-                    for failure in wall_failures:
-                        print(f"[bench]   {failure}", file=sys.stderr)
-                    exit_code = 1
-            else:
-                print(
-                    f"[bench] {args.wall_baseline} has no wall_s data at "
-                    f"scale {args.scale!r}; wall comparison skipped"
-                )
-
-    if baseline is not None:
-        failures = check_regression(report, baseline, args.threshold)
-        if failures:
-            print("[bench] REGRESSION vs baseline:", file=sys.stderr)
-            for failure in failures:
-                print(f"[bench]   {failure}", file=sys.stderr)
-            exit_code = 1
-        elif baseline_speedups(baseline, args.scale) is None:
-            print(
-                f"[bench] baseline {args.baseline} has no data at scale "
-                f"{args.scale!r}; regression check skipped"
-            )
-        else:
-            print(f"[bench] no regression vs {args.baseline}")
-    elif not args.no_regression_check:
-        print(f"[bench] no baseline at {args.baseline}; regression check skipped")
-
-    if args.also_scales:
-        side_table = {}
-        for extra_scale in args.also_scales.split(","):
-            extra_scale = extra_scale.strip()
-            if not extra_scale or extra_scale == args.scale:
-                continue
-            entries = {}
-            for policy in policies:
-                print(f"[bench] recording {extra_scale} speedup for {policy} ...")
-                entry = bench_macro_policy(policy, extra_scale, args.repeats)
-                entries[policy] = entry["speedup_tick_loop"]
-            side_table[extra_scale] = entries
-        if side_table:
-            report["speedups_by_scale"] = side_table
-
-    # Preserve a recorded pre-PR baseline section across regenerations.
-    previous = load_report(args.out)
-    if previous and "pre_pr_baseline" in previous and "pre_pr_baseline" not in report:
-        report["pre_pr_baseline"] = previous["pre_pr_baseline"]
-
-    write_report(args.out, report)
-    print(f"[bench] wrote {args.out}")
+    if args.out:
+        write_report(args.out, report)
+        print(f"[bench] wrote {args.out}")
     return exit_code
 
 

@@ -161,118 +161,3 @@ def phase_table(entries: Iterable[Dict[str, object]]) -> List[str]:
         )
     return lines
 
-
-# -- wall-clock comparison against a previous-generation baseline ----------
-#
-# The tick-loop speedup check (repro.bench.check_regression) compares a
-# machine-independent ratio and requires matching schema versions.  The
-# wall check below is the end-to-end complement for the front-end work:
-# it compares absolute ``wall_s`` per policy and backend against an
-# *older-generation* report (e.g. BENCH_6.json, schema 2) at the same
-# scale.  Wall time is machine-dependent, so the comparison only runs
-# when the baseline has same-scale macro data, and the threshold is
-# generous — it exists to catch a hot path that got materially slower,
-# not to police noise.
-
-
-def baseline_walls(
-    baseline: Dict[str, object], scale: str
-) -> "Dict[str, Dict[str, float]]":
-    """Per-policy, per-backend ``wall_s`` from a report at ``scale``.
-
-    Returns an empty dict when the baseline was generated at a different
-    scale (absolute walls are only comparable at matched sizing) or
-    carries no macro walls.  Schema version is deliberately ignored:
-    this reads the stable ``macro.policies.<p>.<backend>.wall_s`` shape
-    shared by every report generation.
-    """
-    if baseline.get("scale") != scale:
-        return {}
-    walls: Dict[str, Dict[str, float]] = {}
-    policies = baseline.get("macro", {}).get("policies", {})  # type: ignore[union-attr]
-    for policy, entry in policies.items():
-        per_backend = {}
-        for backend in ("event", "optimized", "reference"):
-            cell = entry.get(backend)
-            if isinstance(cell, dict) and cell.get("wall_s"):
-                per_backend[backend] = cell["wall_s"]
-        if per_backend:
-            walls[policy] = per_backend
-    return walls
-
-
-def compare_walls(
-    current: Dict[str, object], baseline: Dict[str, object]
-) -> "Dict[str, Dict[str, Dict[str, float]]]":
-    """Scale-matched wall_s speedups of ``current`` over ``baseline``.
-
-    ``{policy: {backend: {baseline_wall_s, wall_s, speedup}}}``; empty
-    when the scales differ or nothing overlaps.  ``speedup`` > 1 means
-    the current code runs faster than the baseline recorded.
-    """
-    walls = baseline_walls(baseline, current.get("scale", ""))
-    comparison: Dict[str, Dict[str, Dict[str, float]]] = {}
-    cur_policies = current.get("macro", {}).get("policies", {})  # type: ignore[union-attr]
-    for policy, backends in walls.items():
-        cur_entry = cur_policies.get(policy)
-        if not cur_entry:
-            continue
-        per_backend = {}
-        for backend, base_wall in backends.items():
-            cell = cur_entry.get(backend)
-            cur_wall = cell.get("wall_s") if isinstance(cell, dict) else None
-            if cur_wall:
-                per_backend[backend] = {
-                    "baseline_wall_s": base_wall,
-                    "wall_s": cur_wall,
-                    "speedup": round(base_wall / cur_wall, 3),
-                }
-        if per_backend:
-            comparison[policy] = per_backend
-    return comparison
-
-
-#: Default fractional wall-regression threshold (fail past 1.5x slower).
-#: Deliberately looser than the tick-loop check's 0.25: that check
-#: compares a same-run speed *ratio*, while this one compares absolute
-#: walls against a report recorded in an earlier session, where 10-20%
-#: machine drift between recordings is routine.
-WALL_THRESHOLD = 0.5
-
-
-def check_wall_regression(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    threshold: float = WALL_THRESHOLD,
-) -> List[str]:
-    """Flag policy/backend cells whose wall time regressed past ``threshold``.
-
-    A cell fails when its end-to-end wall is more than ``threshold``
-    (fractional) slower than the baseline recorded at the same scale —
-    i.e. speedup < 1/(1+threshold).  Returns human-readable failures;
-    empty means pass (including the no-comparable-baseline case).
-    """
-    failures: List[str] = []
-    floor = 1.0 / (1.0 + threshold)
-    for policy, backends in sorted(compare_walls(current, baseline).items()):
-        for backend, cell in sorted(backends.items()):
-            if cell["speedup"] < floor:
-                failures.append(
-                    f"{policy}/{backend}: wall {cell['wall_s']:.3f}s is "
-                    f"{1.0 / cell['speedup']:.2f}x the baseline's "
-                    f"{cell['baseline_wall_s']:.3f}s "
-                    f"(allowed: {1.0 + threshold:.2f}x)"
-                )
-    return failures
-
-
-def best_wall_speedup(
-    comparison: "Dict[str, Dict[str, Dict[str, float]]]",
-) -> "Dict[str, object]":
-    """The headline cell of a wall comparison: the largest speedup."""
-    best: Dict[str, object] = {}
-    for policy, backends in comparison.items():
-        for backend, cell in backends.items():
-            if not best or cell["speedup"] > best["speedup"]:  # type: ignore[operator]
-                best = {"policy": policy, "backend": backend, **cell}
-    return best

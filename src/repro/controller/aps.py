@@ -93,7 +93,7 @@ class AdaptivePrefetchScheduler(SchedulingPolicy):
         splits.  O(cores) per round, and rounds whose census is unchanged
         skip the rank derivation too — this is what fixed the padc-rank
         tiny-scale regression, where per-round scans of long queues
-        dominated the optimized path's win.
+        dominated the cached-key round's win.
         """
         critical = self.tracker.prefetch_critical
         counts = [

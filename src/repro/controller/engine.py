@@ -15,29 +15,30 @@ scheduling rounds:
   that find it full are simply not sent — which is exactly the coverage
   loss the paper attributes to full request buffers.
 
-Two interchangeable scheduling implementations share all of the above
+Two interchangeable scheduling rounds share all of the above
 (DESIGN.md §10):
 
-* the **optimized** path (default) caches *two* packed integer priority
-  keys per request — one for each row-buffer outcome — so a bank's open
-  row changing invalidates nothing; only the policy's key epoch (bumped
-  on interval boundaries and rank/batch changes) and promotion do.
-  Winners come from per-bank lazy max-heaps: a base heap ordered by the
-  row-miss key plus per-row buckets ordered by the row-hit key; the
-  bank's best request is the greater of the open-row bucket's top and
-  the base heap's top.  Stale entries are discarded lazily.  Winner
-  removal is an index-tracked swap-pop; the APD age scan is skipped
-  until the bank's earliest drop deadline; closed-row precharge queries
-  are answered from per-bank open-row refcounts;
-* the **reference** path re-derives every priority tuple from scratch
-  each round exactly like the original implementation.
+* the **fast** round (default; :meth:`make_event_ticker`) caches *two*
+  packed integer priority keys per request — one for each row-buffer
+  outcome — so a bank's open row changing invalidates nothing; only the
+  policy's key epoch (bumped on interval boundaries and rank/batch
+  changes) and promotion do.  Winners come from per-bank lazy
+  max-heaps: a base heap ordered by the row-miss key plus per-row
+  buckets ordered by the row-hit key; the bank's best request is the
+  greater of the open-row bucket's top and the base heap's top.  Stale
+  entries are discarded lazily.  Winner removal is an index-tracked
+  swap-pop; the APD age scan is skipped until the bank's earliest drop
+  deadline; closed-row precharge queries are answered from per-bank
+  open-row refcounts;
+* the **reference** round (:meth:`_tick_reference`) re-derives every
+  priority tuple from scratch each round; it is the oracle the fast
+  round is checked against.
 
 Both produce byte-identical simulation results — priorities are totally
 ordered (the admission sequence number breaks every tie), so winner
 selection does not depend on queue order or on how keys are represented.
-Select the reference path with ``DRAMControllerEngine(...,
-reference=True)`` or system-wide with ``$REPRO_BACKEND=reference``
-(``$REPRO_SCHED`` is the deprecated spelling).
+Select the reference round with ``DRAMControllerEngine(...,
+reference=True)`` or system-wide with ``$REPRO_BACKEND=reference``.
 """
 
 from __future__ import annotations
@@ -108,23 +109,12 @@ class DRAMControllerEngine:
         dropper: Optional[AdaptivePrefetchDropper] = None,
         on_drop: Optional[Callable[[MemRequest], None]] = None,
         reference: bool = False,
-        backend: Optional[str] = None,
     ):
         self.config = config
         self.policy = policy
         self.dropper = dropper
         self.on_drop = on_drop
-        # ``backend`` names the simulation backend driving this engine
-        # ("event", "optimized", "reference"); the legacy ``reference``
-        # flag is kept as a shorthand for backend="reference".  The
-        # engine itself only distinguishes reference from non-reference —
-        # the event backend reuses the optimized selection structures
-        # (its fused loop keeps them coherent through the same
-        # _admit/_push_keyed/_rebuild_bank helpers).
-        if backend is None:
-            backend = "reference" if reference else "optimized"
-        self.backend = backend
-        self.reference = reference = backend == "reference"
+        self.reference = reference
         self.mapping = AddressMapping(config)
         # Decode constants hoisted for the inlined decode in
         # build_request (AddressMapping validates banks_per_channel).
@@ -209,12 +199,12 @@ class DRAMControllerEngine:
         else:
             self._census_demand = None
             self._census_prefetch = None
-        self._tick_impl = self._tick_reference if reference else self._tick_optimized
-        # Shadow the ``tick`` method with the chosen implementation bound
-        # directly on the instance: one less call layer per scheduling
-        # round (the method body remains as documentation/fallback for
-        # anything holding a class-level reference).
-        self.tick = self._tick_impl
+        # Per-channel fused scheduling rounds behind ``tick``, built on
+        # first use.  A reference engine shadows ``tick`` with the naive
+        # round instead (bound on the instance: one less call layer).
+        self._tickers: List[Optional[Callable]] = [None] * config.num_channels
+        if reference:
+            self.tick = self._tick_reference
 
     # -- admission ---------------------------------------------------------
 
@@ -458,233 +448,25 @@ class DRAMControllerEngine:
         cycle at which this channel should be ticked again, or ``None`` if
         it is idle until the next arrival.
         """
-        return self._tick_impl(channel_id, now)
-
-    def _tick_optimized(
-        self, channel_id: int, now: int
-    ) -> Tuple[List[MemRequest], Optional[int]]:
-        channel = self.channels[channel_id]
-        queues = self._queues[channel_id]
-        policy = self.policy
-        self.stats.rounds += 1
-        if policy.needs_begin_tick:
-            if self._census_demand is not None:
-                policy.begin_tick_census(
-                    self._census_demand[channel_id],
-                    self._census_prefetch[channel_id],
-                )
-            else:
-                policy.begin_tick(queues, now)
-        epoch = policy.epoch
-        dropper = self.dropper
-        drop_checks = self._drop_check[channel_id]
-        base_heaps = self._base_heaps[channel_id]
-        row_buckets = self._row_buckets[channel_id]
-        bank_epochs = self._bank_epoch[channel_id]
-        banks = channel.banks
-        # Next-wake time is folded into the scan: busy banks contribute
-        # here, serviced banks contribute their new busy time below, and
-        # overflow draining (which can repopulate any queue) falls back
-        # to a full recomputation.
-        wake = _NEVER
-        drained = False
-        # (key, bank_idx, request); keys are unique, so sorting the bare
-        # tuples never falls through to comparing requests.
-        winners: List[Tuple[int, int, MemRequest]] = []
-        for bank_idx, queue in enumerate(queues):
-            if not queue:
-                continue
-            bank = banks[bank_idx]
-            busy_until = bank.busy_until
-            if busy_until > now:
-                if busy_until < wake:
-                    wake = busy_until
-                continue
-            if dropper is not None and now >= drop_checks[bank_idx]:
-                # Age-scan round: drop over-age prefetches, compact the
-                # queue (fixing queue positions), and re-derive the bank's
-                # earliest drop deadline from the survivors.  Stale heap
-                # entries for dropped requests are discarded lazily.
-                drop_deadline = dropper.drop_deadline
-                next_check = _NEVER
-                write = 0
-                for request in queue:
-                    if request.is_prefetch:
-                        deadline = drop_deadline(request)
-                        if now >= deadline:
-                            request.qpos = -1
-                            self._drop(request)
-                            continue
-                        if deadline < next_check:
-                            next_check = deadline
-                    request.qpos = write
-                    queue[write] = request
-                    write += 1
-                del queue[write:]
-                drop_checks[bank_idx] = next_check
-                if not queue:
-                    continue
-            base = base_heaps[bank_idx]
-            if bank_epochs[bank_idx] != epoch or not base:
-                base, buckets = self._rebuild_bank(channel_id, bank_idx, queue, epoch)
-            else:
-                buckets = row_buckets[bank_idx]
-            # Sift the base heap until its top is live: still queued,
-            # stamped for this epoch, and carrying its current miss key.
-            while True:
-                neg_key, request = base[0]
-                if request.qpos >= 0:
-                    if request.prio_stamp == epoch:
-                        if -neg_key == request.prio_base:
-                            break
-                    else:
-                        # Promoted while queued under an older epoch:
-                        # re-key, reinsert into both heaps, keep sifting.
-                        heappop(base)
-                        self._push_keyed(request, base, buckets, epoch)
-                        continue
-                heappop(base)
-                if not base:
-                    # Only stale entries remained; the queue is nonempty.
-                    base, buckets = self._rebuild_bank(
-                        channel_id, bank_idx, queue, epoch
-                    )
-            best_key = -base[0][0]
-            best = base[0][1]
-            open_row = bank.open_row
-            if best.row == open_row:
-                # The base top is itself an open-row request, so it is the
-                # best open-row request (hit keys order them the same way)
-                # and beats every other candidate under either key: take
-                # it with its hit key and skip the bucket sift.
-                winners.append((best.prio_hit, bank_idx, best))
-                continue
-            # The open-row bucket's best hit-keyed request beats the base
-            # top whenever its key is >= — a hit key never compares below
-            # the same request's miss key, so the base top never wins
-            # while its own row is the open one.
-            bucket = buckets.get(open_row)
-            if bucket is not None:
-                while bucket:
-                    neg_key, request = bucket[0]
-                    if request.qpos >= 0:
-                        if request.prio_stamp == epoch:
-                            if -neg_key == request.prio_hit:
-                                if -neg_key >= best_key:
-                                    best_key = -neg_key
-                                    best = request
-                                break
-                        else:
-                            heappop(bucket)
-                            self._push_keyed(request, base, buckets, epoch)
-                            continue
-                    heappop(bucket)
-                if not bucket:
-                    del buckets[open_row]
-            winners.append((best_key, bank_idx, best))
-        if self._overflow[channel_id]:
-            self._drain_overflow(channel_id)
-            drained = True
-        if len(winners) > 1:
-            winners.sort(reverse=True)
-
-        serviced: List[MemRequest] = []
-        row_refs_ch = None if self._row_refs is None else self._row_refs[channel_id]
-        stats = self.stats
-        index_map = self._index[channel_id]
-        occupancy = self._occupancy
-        overflow = self._overflow[channel_id]
-        census_demand = self._census_demand
-        for key, bank_idx, request in winners:
-            row = request.row
-            state, completion = channel.service(bank_idx, row, now)
-            queue = queues[bank_idx]
-            # Swap-pop by tracked position (overflow draining, the only
-            # mutation since selection, appends and so never moves it).
-            pos = request.qpos
-            last = queue.pop()
-            if last is not request:
-                queue[pos] = last
-                last.qpos = pos
-            request.qpos = -1
-            base = base_heaps[bank_idx]
-            if base and base[0][1] is request:
-                heappop(base)
-            bucket = row_buckets[bank_idx].get(row)
-            if bucket and bucket[0][1] is request:
-                heappop(bucket)
-            # Inlined _remove(): unindex, release the row refcount (closed-
-            # row policy precharges when the count hits zero), free the
-            # buffer slot and let an overflowed demand in.
-            if not request.is_write and index_map.get(request.line_addr) is request:
-                del index_map[request.line_addr]
-            if row_refs_ch is not None:
-                refs = row_refs_ch[bank_idx]
-                remaining = refs[row] - 1
-                if remaining:
-                    refs[row] = remaining
-                else:
-                    del refs[row]
-            if census_demand is not None:
-                if request.is_prefetch:
-                    self._census_prefetch[channel_id][request.core_id] -= 1
-                else:
-                    census_demand[channel_id][request.core_id] -= 1
-            occupancy[channel_id] -= 1
-            if overflow:
-                # Drain before the precharge decision: an admitted demand
-                # may re-reference the just-released row.
-                self._drain_overflow(channel_id)
-                drained = True
-            if row_refs_ch is not None and row not in row_refs_ch[bank_idx]:
-                banks[bank_idx].precharge()
-            request.service_start = now
-            request.completion = completion
-            row_hit = state is RowBufferState.HIT
-            request.row_hit_service = row_hit
-            if request.is_prefetch:
-                stats.scheduled_prefetches += 1
-                if row_hit:
-                    stats.prefetch_row_hits += 1
-            else:
-                stats.scheduled_demands += 1
-                if row_hit:
-                    stats.demand_row_hits += 1
-            serviced.append(request)
-            if queue:
-                # The serviced bank still has work: it wakes when this
-                # service completes its bank occupancy.
-                busy_until = banks[bank_idx].busy_until
-                if busy_until < wake:
-                    wake = busy_until
-
-        if drained:
-            # Draining can repopulate any bank queue (including ones that
-            # were empty during the scan): recompute the wake time.
-            wake = _NEVER
-            bank_idx = 0
-            for queue in queues:
-                if queue:
-                    busy_until = banks[bank_idx].busy_until
-                    if busy_until < wake:
-                        wake = busy_until
-                bank_idx += 1
-        return serviced, None if wake == _NEVER else wake
+        ticker = self._tickers[channel_id]
+        if ticker is None:
+            ticker = self._tickers[channel_id] = self.make_event_ticker(channel_id)
+        return ticker(now)
 
     def make_event_ticker(
         self, channel_id: int
     ) -> Callable[[int], Tuple[List[MemRequest], Optional[int]]]:
-        """Build the event backend's fused scheduling round for one channel.
+        """Build the fast scheduling round for one channel.
 
-        A closure-specialized port of :meth:`_tick_optimized` for the
-        skip-ahead backend (DESIGN.md §11): per-channel state — queues,
-        selection heaps, drop deadlines, census splits, the channel's
-        timing constants — is bound once per run instead of re-resolved
-        every round, and :meth:`Channel.service` is inlined into the
-        service loop.  Every behavioral line is a direct port of the
-        shared tick (which remains the spec the heap backends run), and
-        the byte-identity is certified by the golden-equivalence matrix
-        and the differential fuzzer.
+        The skip-ahead backend (DESIGN.md §11) calls the returned closure
+        directly; :meth:`tick` routes through it on a non-reference
+        engine.  Per-channel state — queues, selection heaps, drop
+        deadlines, census splits, the channel's timing constants — is
+        bound once instead of re-resolved every round, and
+        :meth:`Channel.service` is inlined into the service loop.  Its
+        byte-identity with :meth:`_tick_reference` is certified by the
+        golden-equivalence matrix, the engine-level differential
+        property test and the differential fuzzer.
         """
         channel = self.channels[channel_id]
         banks = channel.banks
@@ -739,8 +521,14 @@ class DRAMControllerEngine:
             elif begin_scan is not None:
                 begin_scan(queues, now)
             epoch = policy.epoch
+            # Next-wake time is folded into the scan: busy banks contribute
+            # here, serviced banks contribute their new busy time below,
+            # and overflow draining (which can repopulate any queue) falls
+            # back to a full recomputation.
             wake = _NEVER
             drained = False
+            # (key, bank_idx, request); keys are unique, so sorting the
+            # bare tuples never falls through to comparing requests.
             winners = []
             for bank_idx, queue in enumerate(queues):
                 if not queue:
@@ -752,6 +540,11 @@ class DRAMControllerEngine:
                         wake = busy_until
                     continue
                 if drop_checks is not None and now >= drop_checks[bank_idx]:
+                    # Age-scan round: drop over-age prefetches, compact the
+                    # queue (fixing queue positions), and re-derive the
+                    # bank's earliest drop deadline from the survivors.
+                    # Stale heap entries for dropped requests are
+                    # discarded lazily.
                     next_check = _NEVER
                     write = 0
                     for request in queue:
@@ -775,6 +568,8 @@ class DRAMControllerEngine:
                     base, buckets = rebuild(channel_id, bank_idx, queue, epoch)
                 else:
                     buckets = row_buckets[bank_idx]
+                # Sift the base heap until its top is live: still queued,
+                # stamped for this epoch, and carrying its current miss key.
                 while True:
                     neg_key, request = base[0]
                     if request.qpos >= 0:
@@ -782,18 +577,29 @@ class DRAMControllerEngine:
                             if -neg_key == request.prio_base:
                                 break
                         else:
+                            # Promoted while queued under an older epoch:
+                            # re-key, reinsert into both heaps, keep sifting.
                             heappop(base)
                             push_keyed(request, base, buckets, epoch)
                             continue
                     heappop(base)
                     if not base:
+                        # Only stale entries remained; the queue is nonempty.
                         base, buckets = rebuild(channel_id, bank_idx, queue, epoch)
                 best_key = -base[0][0]
                 best = base[0][1]
                 open_row = bank.open_row
                 if best.row == open_row:
+                    # The base top is itself an open-row request, so it is
+                    # the best open-row request (hit keys order them the
+                    # same way) and beats every other candidate under
+                    # either key: take it with its hit key, skip the bucket.
                     winners.append((best.prio_hit, bank_idx, best))
                     continue
+                # The open-row bucket's best hit-keyed request beats the
+                # base top whenever its key is >= — a hit key never
+                # compares below the same request's miss key, so the base
+                # top never wins while its own row is the open one.
                 bucket = buckets.get(open_row)
                 if bucket is not None:
                     while bucket:
@@ -851,6 +657,8 @@ class DRAMControllerEngine:
                 bank.busy_cycles += burst_end - now
                 channel.lines_transferred += 1
 
+                # Swap-pop by tracked position (overflow draining, the only
+                # mutation since selection, appends and so never moves it).
                 queue = queues[bank_idx]
                 pos = request.qpos
                 last = queue.pop()
@@ -883,6 +691,8 @@ class DRAMControllerEngine:
                         census_d[request.core_id] -= 1
                 occupancy[channel_id] -= 1
                 if overflow:
+                    # Drain before the precharge decision: an admitted
+                    # demand may re-reference the just-released row.
                     drain(channel_id)
                     drained = True
                 if row_refs_ch is not None and row not in row_refs_ch[bank_idx]:
@@ -900,6 +710,8 @@ class DRAMControllerEngine:
                         stats.demand_row_hits += 1
                 serviced.append(request)
                 if queue:
+                    # The serviced bank still has work: it wakes when this
+                    # service completes its bank occupancy.
                     busy_until = bank.busy_until
                     if busy_until < wake:
                         wake = busy_until
@@ -922,9 +734,8 @@ class DRAMControllerEngine:
     ) -> Tuple[List[MemRequest], Optional[int]]:
         """The naive scheduling round: every priority re-derived per tick.
 
-        Kept as the differential baseline for the optimized path (and for
-        benchmarking it): same policy semantics, same tie-breaks, none of
-        the caching.
+        The differential oracle for :meth:`make_event_ticker`: same
+        policy semantics, same tie-breaks, none of the caching.
         """
         channel = self.channels[channel_id]
         queues = self._queues[channel_id]
@@ -996,13 +807,6 @@ class DRAMControllerEngine:
             if request.row == row:
                 return
         self.channels[channel_id].banks[bank_idx].precharge()
-
-    def _maybe_precharge_refcounted(
-        self, channel_id: int, bank_idx: int, row: int
-    ) -> None:
-        """Closed-row policy, O(1) form: consult the per-bank row refcounts."""
-        if row not in self._row_refs[channel_id][bank_idx]:
-            self.channels[channel_id].banks[bank_idx].precharge()
 
     def _record_service(self, request: MemRequest, state: RowBufferState) -> None:
         row_hit = state is RowBufferState.HIT

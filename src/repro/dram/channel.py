@@ -53,11 +53,11 @@ class Channel:
         Returns ``(row_buffer_state, completion_time)``.  The caller must
         ensure the bank is free at ``now``.
 
-        This body is inlined (with the outcome pairs above prebound) in
-        ``DRAMControllerEngine.make_event_ticker``'s service loop — a
-        behavioral change here must be mirrored there, or the golden
-        equivalence matrix and the differential fuzzer will flag the
-        event backend as divergent.
+        The reference scheduling round calls this; the fast round in
+        ``DRAMControllerEngine.make_event_ticker`` inlines the same body
+        (with the outcome pairs above prebound) — a behavioral change
+        here must be mirrored there, or the golden equivalence matrix and
+        the differential fuzzer will flag the event backend as divergent.
 
         Timing model (paper §2.1 / footnote 4): the bank is occupied for
         the full command sequence — CL for a row-hit, tRCD+CL row-closed,

@@ -1,9 +1,9 @@
 """Differential backend fuzzer (DESIGN.md §11).
 
-The skip-ahead event backend is certified byte-identical to the heap
-backends by construction (every event push consumes the same sequence
-number the heap backend would have), but the proof lives in code review;
-this module is the executable counterpart.  It draws random simulation
+The skip-ahead event backend is certified byte-identical to the
+reference backend by construction (every event push consumes the same
+sequence number the reference heap loop would have), but the proof
+lives in code review; this module is the executable counterpart.  It draws random simulation
 cases — random synthetic workload profiles × scheduling policy ×
 system-config knobs × seed — from a seeded RNG, runs every backend on
 each case, and asserts byte-identical ``SimResult.to_dict()`` outputs.

@@ -1,7 +1,7 @@
 """Differential fuzzer CLI: ``python -m repro.fuzz``.
 
 Sweeps seeded random cases (workload profiles × policy × config × seed)
-over all scheduler backends and fails loudly — with a shrunk minimal
+over both simulation backends and fails loudly — with a shrunk minimal
 repro — on any byte divergence between their ``SimResult`` outputs.
 
 Examples::
@@ -19,6 +19,7 @@ import sys
 from typing import List, Optional
 
 from repro.fuzz import BACKENDS, random_case, run_case, run_fuzz, shrink
+from repro.params import BackendError, resolve_backend
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -52,6 +53,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     backends = [b for b in args.backends.split(",") if b]
+    # Validate before any case runs: an unknown name would otherwise
+    # surface as a crash "divergence" on every case (and be shrunk), and
+    # a single backend would compare nothing yet report success.
+    try:
+        for backend in backends:
+            resolve_backend(backend)
+    except BackendError as exc:
+        parser.error(f"--backends: {exc}")
+    if len(set(backends)) < 2:
+        parser.error(
+            f"--backends needs at least two distinct backends to compare; "
+            f"known backends: {', '.join(BACKENDS)}"
+        )
 
     if args.case is not None:
         case = random_case(args.case)

@@ -144,19 +144,19 @@ class PADCConfig:
     age_granularity: int = 100
 
 
-#: Simulation backends, fastest first.  All three are certified
-#: byte-identical by the golden-equivalence matrix and the differential
-#: fuzzer (DESIGN.md §11), which is what justifies excluding the backend
-#: knob from result-cache keys: a cached result answers for any backend.
+#: Simulation backends, fastest first.  Both are certified byte-identical
+#: by the golden-equivalence matrix and the differential fuzzer (DESIGN.md
+#: §11), which is what justifies excluding the backend knob from
+#: result-cache keys: a cached result answers for either backend.
 #:
 #: * ``"event"`` — the skip-ahead loop: scheduling-relevant timestamps
 #:   (bank free times, arrivals, interval/refresh boundaries) are tracked
-#:   as scalar next-event times and the clock jumps straight to them;
-#: * ``"optimized"`` — PR 5's cached-key scheduler under the generic
-#:   event heap (every tick is a heap event);
-#: * ``"reference"`` — the naive scheduler that re-derives every
-#:   priority per round; the differential baseline.
-BACKENDS: Tuple[str, ...] = ("event", "optimized", "reference")
+#:   as scalar next-event times and the clock jumps straight to them, and
+#:   each channel schedules with the engine's fast cached-key round;
+#: * ``"reference"`` — the generic event heap (every tick is a heap
+#:   event) driving the naive scheduler that re-derives every priority
+#:   per round; the differential oracle.
+BACKENDS: Tuple[str, ...] = ("event", "reference")
 
 DEFAULT_BACKEND = "event"
 
@@ -178,38 +178,6 @@ def resolve_backend(name: Optional[str]) -> str:
             f"unknown backend {name!r}; known backends: {', '.join(BACKENDS)}"
         )
     return name
-
-
-def backend_from_env() -> Optional[str]:
-    """The backend named by the environment, or ``None`` if unset.
-
-    ``$REPRO_BACKEND`` is the supported knob.  ``$REPRO_SCHED`` is its
-    pre-PR-6 spelling: still honored, but it emits a
-    :class:`DeprecationWarning` naming the replacement.  When both are
-    set they must agree — conflicting values raise :class:`BackendError`
-    instead of one knob silently winning (an ignored override is the
-    worst kind of configuration bug).  The returned name is *not*
-    validated here; callers feed it through :func:`resolve_backend` like
-    any other spelling.
-    """
-    import os
-    import warnings
-
-    current = os.environ.get("REPRO_BACKEND")
-    legacy = os.environ.get("REPRO_SCHED")
-    if legacy:
-        warnings.warn(
-            "$REPRO_SCHED is deprecated; set $REPRO_BACKEND instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if current and legacy and current != legacy:
-        raise BackendError(
-            f"conflicting backend environment: $REPRO_BACKEND={current!r} "
-            f"but legacy $REPRO_SCHED={legacy!r}; unset $REPRO_SCHED "
-            "(deprecated) or make the two agree"
-        )
-    return current or legacy or None
 
 
 class PolicyError(ValueError):

@@ -15,7 +15,7 @@ attribute hoisted into closure locals; cold paths (runahead, writebacks,
 drops, checker, refresh) delegate to the shared ``System`` methods so
 there is exactly one implementation of each rare behavior.
 
-Byte-identity with the heap backends (certified by the golden
+Byte-identity with the reference heap loop (certified by the golden
 equivalence matrix and the differential fuzzer) rests on two rules:
 
 * **Sequence parity** — ties between equal-time events are broken by a
@@ -78,8 +78,8 @@ def run_event(
     engine = system.engine
     tracker = system.tracker
     # One fused scheduling-round closure per channel (per-channel engine
-    # state prebound, Channel.service inlined); the heap backends keep
-    # the shared engine.tick, which remains the behavioral spec.
+    # state prebound, Channel.service inlined), called directly rather
+    # than through engine.tick.
     tickers = [engine.make_event_ticker(ch) for ch in range(config.dram.num_channels)]
     note_promotion = engine.note_promotion
     # Engine admission state, prebound for the fused admission path (the

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
@@ -34,7 +35,7 @@ from repro.controller.request import MemRequest
 from repro.core.core import CoreState
 from repro.dram.refresh import RefreshScheduler
 from repro.core.trace import TraceEntry
-from repro.params import SystemConfig, backend_from_env, resolve_backend
+from repro.params import SystemConfig, resolve_backend
 from repro.prefetch.base import make_prefetcher
 from repro.prefetch.ddpf import DDPFFilter
 from repro.prefetch.fdp import FDPController
@@ -69,7 +70,6 @@ class System:
         collect_service_times: bool = False,
         check: Optional[bool] = None,
         telemetry: Union[None, bool, NoopCollector] = None,
-        scheduler: Optional[str] = None,
         backend: Optional[str] = None,
     ):
         if len(benchmarks) != config.num_cores:
@@ -105,25 +105,22 @@ class System:
             else None
         )
         # Simulation backend: the skip-ahead event loop by default, the
-        # heap-scheduled optimized loop and the naive reference path on
-        # request.  All three produce byte-identical results — the
+        # heap loop over the naive reference scheduler (the oracle) on
+        # request.  Both produce byte-identical results — the
         # golden-equivalence tests, the differential fuzzer and the bench
         # CLI's verify mode pin this (DESIGN.md §10–11).  Resolution
-        # order: explicit ``backend=`` arg > legacy ``scheduler=`` arg >
-        # ``config.backend`` > the environment (``$REPRO_BACKEND``, with
-        # ``$REPRO_SCHED`` as a deprecated alias) > the package default.
+        # order: explicit ``backend=`` arg > ``config.backend`` >
+        # ``$REPRO_BACKEND`` > the package default.
         if backend is None:
-            backend = scheduler or config.backend or backend_from_env()
+            backend = config.backend or os.environ.get("REPRO_BACKEND") or None
         backend = resolve_backend(backend)
         self.backend = backend
-        # Backwards-compatible alias: pre-PR-6 callers read ``scheduler``.
-        self.scheduler = backend
         self.engine = DRAMControllerEngine(
             config.dram,
             policy,
             dropper=dropper,
             on_drop=self._on_drop,
-            backend="reference" if backend == "reference" else "optimized",
+            reference=backend == "reference",
         )
 
         if config.cache.shared:
@@ -176,9 +173,10 @@ class System:
         self._tick_pending: List[Optional[int]] = [None] * config.dram.num_channels
         # Sequence stamps for the scalar (non-heap) tick events used by the
         # skip-ahead backend; unused (but kept allocated, for introspection
-        # symmetry) under the heap backends.  ``_tick_stale`` remembers the
-        # (time -> seq) of superseded arms whose time has not passed yet —
-        # see _schedule_tick_event for why they can come back to life.
+        # symmetry) under the reference heap loop.  ``_tick_stale``
+        # remembers the (time -> seq) of superseded arms whose time has not
+        # passed yet — see _schedule_tick_event for why they can come back
+        # to life.
         self._tick_seq: List[int] = [0] * config.dram.num_channels
         self._tick_stale: List[Dict[int, int]] = [
             {} for _ in range(config.dram.num_channels)
@@ -188,7 +186,8 @@ class System:
             # time directly instead of pushing TICK tuples through the
             # heap.  Bound as an instance attribute so the cold-path
             # helpers (_issue_writeback, _run_runahead, refresh) shared
-            # with the heap backends transparently arm the scalar slot.
+            # with the reference heap loop transparently arm the scalar
+            # slot.
             self._schedule_tick = self._schedule_tick_event  # type: ignore[method-assign]
         # One wake queue per distinct MSHR file, prebuilt so the MSHR-full
         # stall path appends to an existing deque instead of paying a
@@ -240,7 +239,7 @@ class System:
     def _schedule_tick_event(self, channel: int, time: int) -> None:
         """Scalar tick arming for the skip-ahead backend.
 
-        Byte-identity with the heap backends requires two things:
+        Byte-identity with the reference heap loop requires two things:
 
         * consuming one sequence number exactly where the heap version
           would have pushed a TICK tuple (sequence numbers break
@@ -871,7 +870,6 @@ def simulate(
     collect_service_times: bool = False,
     check: Optional[bool] = None,
     telemetry: Union[None, bool, NoopCollector] = None,
-    scheduler: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> SimResult:
     """Build a :class:`System` and run it — the one-call entry point.
@@ -881,9 +879,8 @@ def simulate(
     :mod:`repro.validate` invariant auditor; ``telemetry=True`` (or a
     collector instance) attaches an interval-sampled
     :class:`~repro.telemetry.trace.SimTrace` to the result.
-    ``backend`` selects the simulation loop (``"event"``, ``"optimized"``
-    or ``"reference"``; the legacy ``scheduler`` spelling is honored for
-    the latter two) — all backends produce byte-identical results.
+    ``backend`` selects the simulation loop (``"event"`` or
+    ``"reference"``) — both produce byte-identical results.
     """
     system = System(
         config,
@@ -892,7 +889,6 @@ def simulate(
         collect_service_times=collect_service_times,
         check=check,
         telemetry=telemetry,
-        scheduler=scheduler,
         backend=backend,
     )
     return system.run(max_accesses_per_core, max_cycles=max_cycles)

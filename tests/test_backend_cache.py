@@ -6,16 +6,21 @@ one sanctioned ``exclude_from_hash`` field, ``repro.api`` strips the
 ``backend`` simulate-kwarg before a job is keyed, and a result computed
 under one backend answers for every other.  Conversely CACHE_VERSION
 must have moved with this PR so pre-certification entries stop matching.
+A retired backend name fails on every surface with one actionable error.
 """
 
 import dataclasses
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
 
 import repro.runtime.store as store_module
+from repro import api
 from repro.api import _make_job, submit
-from repro.params import BACKENDS, SystemConfig, baseline_config
+from repro.bench.__main__ import main as bench_main
+from repro.params import BACKENDS, BackendError, SystemConfig, baseline_config
+from repro.sim.system import System
 from repro.runtime import CACHE_VERSION, Runtime, cache_key
 from repro.runtime.hashing import config_fingerprint
 
@@ -103,3 +108,34 @@ class TestCrossBackendCacheSharing:
         warm2 = submit(config, MIX, 300, seed=3, runtime=runtime)
         assert warm2.to_dict() == cold.to_dict()
         assert sorted(p.name for p in tmp_path.glob("*.json")) == entries_after_cold
+
+
+# A retired backend name (the cached-key heap loop, dropped once the
+# event backend ran faster on every policy) that old scripts may still
+# pass: it must fail loudly, never fall back to a default.
+RETIRED_BACKEND = "optimized"
+
+
+@pytest.mark.parametrize("surface", ["simulate", "System", "env", "bench-cli"])
+def test_retired_backend_name_fails_listing_the_choices(
+    surface, monkeypatch, capsys
+):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    config = _config()
+    if surface == "bench-cli":
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(["--phase-backend", RETIRED_BACKEND])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(BackendError) as excinfo:
+            if surface == "simulate":
+                api.simulate(config, MIX, 50, backend=RETIRED_BACKEND)
+            elif surface == "System":
+                System(config, MIX, backend=RETIRED_BACKEND)
+            else:
+                monkeypatch.setenv("REPRO_BACKEND", RETIRED_BACKEND)
+                System(config, MIX)
+        message = str(excinfo.value)
+    assert repr(RETIRED_BACKEND) in message
+    assert re.search(r"event'?, '?reference", message), message

@@ -2,8 +2,9 @@
 
 The CI ``equivalence-fuzz`` job runs the full 200-case sweep via
 ``python -m repro.fuzz``; the tier-1 suite keeps a smaller pinned-seed
-sweep so every test run still exercises the three-backend differential,
-plus unit tests for case generation and the shrinker.
+sweep so every test run still exercises the event-vs-reference
+differential, plus unit tests for case generation, the shrinker and the
+CLI's up-front ``--backends`` validation.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from repro.fuzz import (
     run_fuzz,
     shrink,
 )
+import repro.fuzz.__main__ as fuzz_cli
 from repro.fuzz.__main__ import main as fuzz_main
 from repro.params import BACKENDS, POLICY_TABLE
 
@@ -95,3 +97,18 @@ class TestCLI:
     def test_sweep_mode_exit_zero(self, capsys):
         assert fuzz_main(["--cases", "5", "--start-seed", "100"]) == 0
         assert "all byte-identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backends", ["event,bogus", "event", "event,event"])
+    def test_bad_backends_rejected_before_any_case(
+        self, backends, monkeypatch, capsys
+    ):
+        def no_cases(*args, **kwargs):
+            raise AssertionError("a case ran before --backends was validated")
+
+        monkeypatch.setattr(fuzz_cli, "run_fuzz", no_cases)
+        monkeypatch.setattr(fuzz_cli, "run_case", no_cases)
+        for argv in (["--cases", "2"], ["--case", "11"]):
+            with pytest.raises(SystemExit) as excinfo:
+                fuzz_main(argv + ["--backends", backends, "--no-shrink"])
+            assert excinfo.value.code == 2
+            assert "known backends: event, reference" in capsys.readouterr().err

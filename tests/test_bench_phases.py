@@ -8,11 +8,7 @@ from repro.bench import SCHEMA_VERSION, load_report, write_report
 from repro.bench.phases import (
     FRONT_END_BUCKETS,
     PHASE_BUCKETS,
-    baseline_walls,
-    best_wall_speedup,
-    check_wall_regression,
     classify,
-    compare_walls,
     phase_table,
     run_phases,
 )
@@ -126,69 +122,3 @@ class TestReportRoundTrip:
             PHASE_BUCKETS
         )
 
-
-def _wall_report(scale="medium", wall=2.0, policy="padc", backend="event"):
-    return {
-        "scale": scale,
-        "macro": {"policies": {policy: {backend: {"wall_s": wall}}}},
-    }
-
-
-class TestWallComparison:
-    def test_baseline_walls_scale_matched_only(self):
-        baseline = _wall_report(scale="medium", wall=3.0)
-        assert baseline_walls(baseline, "medium") == {"padc": {"event": 3.0}}
-        assert baseline_walls(baseline, "tiny") == {}
-
-    def test_schema_version_is_ignored(self):
-        # BENCH_6.json is schema 2; the wall comparison must still read it.
-        baseline = _wall_report(wall=3.0)
-        baseline["schema_version"] = 2
-        current = _wall_report(wall=2.0)
-        current["schema_version"] = SCHEMA_VERSION
-        comparison = compare_walls(current, baseline)
-        assert comparison["padc"]["event"]["speedup"] == 1.5
-
-    def test_speedup_direction(self):
-        comparison = compare_walls(_wall_report(wall=2.0), _wall_report(wall=3.0))
-        cell = comparison["padc"]["event"]
-        assert cell["baseline_wall_s"] == 3.0
-        assert cell["wall_s"] == 2.0
-        assert cell["speedup"] == 1.5
-        assert best_wall_speedup(comparison)["policy"] == "padc"
-
-    def test_regression_fires_on_injected_slowdown(self):
-        # 2.0s -> 4.0s is a 2x slowdown: past the default 50% threshold.
-        failures = check_wall_regression(
-            _wall_report(wall=4.0), _wall_report(wall=2.0)
-        )
-        assert len(failures) == 1
-        assert "padc/event" in failures[0]
-
-    def test_regression_threshold_boundary(self):
-        # The default threshold tolerates up to a 1.5x slowdown: absolute
-        # walls are compared against an earlier session's recording, and
-        # 10-20% machine drift between recordings is routine.
-        assert check_wall_regression(
-            _wall_report(wall=3.0), _wall_report(wall=2.0)
-        ) == []
-        assert check_wall_regression(
-            _wall_report(wall=3.01), _wall_report(wall=2.0)
-        )
-
-    def test_threshold_is_overridable(self):
-        failures = check_wall_regression(
-            _wall_report(wall=2.3), _wall_report(wall=2.0), threshold=0.1
-        )
-        assert len(failures) == 1
-
-    def test_no_comparable_baseline_is_a_pass(self):
-        assert check_wall_regression(
-            _wall_report(scale="tiny", wall=9.0),
-            _wall_report(scale="medium", wall=1.0),
-        ) == []
-
-    def test_unmatched_policy_ignored(self):
-        assert compare_walls(
-            _wall_report(policy="fcfs"), _wall_report(policy="padc")
-        ) == {}

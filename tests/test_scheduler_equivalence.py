@@ -1,8 +1,8 @@
 """Golden equivalence: every backend == the naive reference, byte for byte.
 
-The optimized hot path (cached packed keys, epoch invalidation, bucket
-heaps, swap-pop — DESIGN.md §10) and the skip-ahead event backend
-(DESIGN.md §11) must be observationally identical to the reference path
+The skip-ahead event backend (DESIGN.md §11) and its fast scheduling
+round (cached packed keys, epoch invalidation, bucket heaps, swap-pop —
+DESIGN.md §10) must be observationally identical to the reference path
 that re-derives every priority each round.  These tests pin
 ``SimResult.to_dict()`` equality across the backend × policy ×
 workload-mix × seed matrix — the backend axis is drawn from

@@ -5,7 +5,6 @@ the whole surface hangs off.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro import api
 from repro.campaign import Campaign, CampaignRunner, CampaignSpec, run_worker
 from repro.campaign.executor import CampaignError
 from repro.campaign.jobstore import make_store
-from repro.params import BACKENDS, BackendError, backend_from_env
+from repro.params import BACKENDS
 from repro.telemetry import TelemetryCollector
 from repro.telemetry.stream import (
     STREAM_SCHEMA_VERSION,
@@ -369,41 +368,3 @@ def test_legacy_campaign_functions_warn_but_work(tmp_path):
     with pytest.warns(DeprecationWarning, match="campaign_open"):
         text = api.campaign_export(tmp_path / "c", fmt="csv")
     assert text == api.campaign_open(tmp_path / "c").export(fmt="csv")
-
-
-# -- the $REPRO_SCHED deprecation ----------------------------------------------
-
-
-def test_backend_from_env_prefers_repro_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_SCHED", raising=False)
-    assert backend_from_env() is None
-    monkeypatch.setenv("REPRO_BACKEND", "reference")
-    assert backend_from_env() == "reference"
-
-
-def test_legacy_repro_sched_warns(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    monkeypatch.setenv("REPRO_SCHED", "optimized")
-    with pytest.warns(DeprecationWarning, match=r"\$REPRO_BACKEND"):
-        assert backend_from_env() == "optimized"
-    # The simulate() path still honors (and warns about) the alias.
-    with pytest.warns(DeprecationWarning, match=r"\$REPRO_SCHED is deprecated"):
-        result = api.simulate(tiny_system_config(), ["swim"], 200)
-    assert result.cores[0].instructions > 0
-
-
-def test_conflicting_backend_env_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "event")
-    monkeypatch.setenv("REPRO_SCHED", "reference")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(BackendError, match="conflicting"):
-            backend_from_env()
-
-
-def test_agreeing_backend_env_is_fine(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "event")
-    monkeypatch.setenv("REPRO_SCHED", "event")
-    with pytest.warns(DeprecationWarning):
-        assert backend_from_env() == "event"

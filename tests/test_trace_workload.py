@@ -6,7 +6,7 @@ import pytest
 
 from repro import api
 from repro.campaign import CampaignSpec, SpecError, Workload
-from repro.params import baseline_config
+from repro.params import BACKENDS, baseline_config
 from repro.runtime import SimJob
 from repro.runtime.store import CACHE_VERSION
 from repro.trace import (
@@ -172,10 +172,10 @@ def test_trace_simulation_backend_identity(champsim_rtr):
         backend: api.simulate(
             config, benchmarks, max_accesses_per_core=800, backend=backend
         ).to_dict()
-        for backend in ("event", "optimized", "reference")
+        for backend in BACKENDS
     }
-    assert results["event"] == results["optimized"] == results["reference"]
     event = results["event"]
+    assert all(result == event for result in results.values())
     assert event["cores"][0]["benchmark"] == "champsim_small"
     assert event["cores"][0]["loads"] == 800  # the 200-entry trace looped
 
