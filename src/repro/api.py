@@ -18,10 +18,6 @@ Three verbs, one vocabulary:
   ``.stream()`` read it — the one object the CLI, the HTTP service and
   the dashboard all route through.
 
-The older free functions (``campaign_create`` / ``campaign_status`` /
-``campaign_export``) still work but are deprecated thin wrappers over
-the handle and emit :class:`DeprecationWarning`.
-
 ``repro.experiments``, the examples and both CLIs call through this
 module, so its signatures are the project's compatibility surface.
 """
@@ -29,7 +25,6 @@ module, so its signatures are the project's compatibility surface.
 from __future__ import annotations
 
 import time as _time
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.params import SystemConfig
@@ -191,9 +186,9 @@ def _coerce_spec(spec):
         from repro.campaign import presets as _presets
 
         return _presets.build(spec)
-    if isinstance(spec, dict):
-        return CampaignSpec.from_dict(spec)
-    return spec
+    if isinstance(spec, CampaignSpec):
+        return spec
+    return CampaignSpec.from_dict(spec)
 
 
 class Campaign:
@@ -201,7 +196,7 @@ class Campaign:
 
     The unified front door to a campaign's lifecycle after submission:
 
-    >>> handle = api.Campaign.create("smoke", backend="sqlite")
+    >>> handle = api.Campaign.create("smoke")
     >>> handle.status()["counts"]
     >>> handle.export(fmt="csv")
     >>> for row in handle.stream(follow=True): ...   # live samples
@@ -225,7 +220,6 @@ class Campaign:
         spec,
         *,
         directory=None,
-        backend: Optional[str] = None,
         root=None,
         runtime: Optional[Runtime] = None,
     ) -> "Campaign":
@@ -233,42 +227,32 @@ class Campaign:
 
         The submission half of the campaign service: bind ``spec`` (a
         :class:`~repro.campaign.CampaignSpec`, preset name, or spec
-        dict) to its directory, snapshot it, and — on the sqlite
-        backend — enqueue the full job expansion so workers
-        (``python -m repro.campaign worker``) can start claiming.
-        ``root`` overrides the campaigns root the default directory is
-        derived under.
+        dict) to its directory, snapshot it, and enqueue the full job
+        expansion so workers (``python -m repro.campaign worker``) can
+        start claiming.  ``root`` overrides the campaigns root the
+        default directory is derived under.
         """
         from pathlib import Path
 
         from repro.campaign import executor as _executor
+        from repro.campaign.worker import job_meta
 
         spec = _coerce_spec(spec)
         if directory is None:
             base = Path(root) if root is not None else _executor.campaigns_root()
             directory = base / f"{spec.name}-{spec.fingerprint()[:12]}"
-        created = _executor.Campaign.create(spec, directory, backend=backend)
-        store = created.ledger
-        if hasattr(store, "ensure_jobs"):
-            from repro.campaign.worker import job_meta
-
-            store.ensure_jobs(
-                [(job.key, job_meta(job)) for job in created.unique_jobs()]
-            )
+        created = _executor.Campaign.create(spec, directory)
+        created.ledger.ensure_jobs(
+            [(job.key, job_meta(job)) for job in created.unique_jobs()]
+        )
         return cls(created, runtime=runtime)
 
     @classmethod
-    def open(
-        cls,
-        directory,
-        *,
-        backend: Optional[str] = None,
-        runtime: Optional[Runtime] = None,
-    ) -> "Campaign":
+    def open(cls, directory, *, runtime: Optional[Runtime] = None) -> "Campaign":
         """Bind an existing campaign directory (see :func:`campaign_open`)."""
         from repro.campaign import executor as _executor
 
-        return cls(_executor.Campaign.open(directory, backend=backend), runtime=runtime)
+        return cls(_executor.Campaign.open(directory), runtime=runtime)
 
     # -- identity --------------------------------------------------------------
 
@@ -289,18 +273,11 @@ class Campaign:
     def name(self) -> str:
         return self._inner.spec.name
 
-    @property
-    def backend(self) -> str:
-        return self._inner.backend
-
     def unique_jobs(self):
         return self._inner.unique_jobs()
 
     def __repr__(self) -> str:
-        return (
-            f"api.Campaign({self.name!r}, directory={str(self.directory)!r}, "
-            f"backend={self.backend!r})"
-        )
+        return f"api.Campaign({self.name!r}, directory={str(self.directory)!r})"
 
     # -- reads -----------------------------------------------------------------
 
@@ -314,7 +291,6 @@ class Campaign:
             "id": inner.directory.name,
             "directory": str(inner.directory),
             "name": inner.spec.name,
-            "backend": inner.backend,
             "fingerprint": inner.spec.fingerprint(),
             "total": len(inner.unique_jobs()),
             "counts": counts,
@@ -323,7 +299,7 @@ class Campaign:
         }
 
     def export(self, *, fmt: str = "csv") -> str:
-        """Deterministic CSV/JSON export (any backend, streamed or not)."""
+        """Deterministic CSV/JSON export (streamed or not)."""
         from repro.campaign.report import export as _export
 
         runtime = self._runtime or get_runtime()
@@ -396,56 +372,14 @@ class Campaign:
         return fold_samples(records)
 
 
-def campaign_open(
-    directory,
-    *,
-    backend: Optional[str] = None,
-    runtime: Optional[Runtime] = None,
-) -> Campaign:
+def campaign_open(directory, *, runtime: Optional[Runtime] = None) -> Campaign:
     """Bind an existing campaign directory to a :class:`Campaign` handle.
 
-    The read-side entry point: ``campaign_open(d).status()`` replaces the
-    deprecated ``campaign_status(d)``, ``.export(fmt=...)`` replaces
-    ``campaign_export(d, ...)``, and ``.stream()`` / ``.metrics()`` are
-    the live-telemetry surface the dashboard polls.
+    The read-side entry point: ``.status()`` and ``.export(fmt=...)``
+    read the campaign, and ``.stream()`` / ``.metrics()`` are the
+    live-telemetry surface the dashboard polls.
     """
-    return Campaign.open(directory, backend=backend, runtime=runtime)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"api.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def campaign_create(
-    spec,
-    *,
-    directory=None,
-    backend: Optional[str] = None,
-    root=None,
-):
-    """Deprecated: use :meth:`Campaign.create`.
-
-    Returns the executor-level campaign (the pre-handle return type), so
-    existing callers keep working unchanged.
-    """
-    _deprecated("campaign_create(...)", "api.Campaign.create(...)")
-    return Campaign.create(spec, directory=directory, backend=backend, root=root).inner
-
-
-def campaign_status(directory) -> dict:
-    """Deprecated: use ``campaign_open(directory).status()``."""
-    _deprecated("campaign_status(dir)", "api.campaign_open(dir).status()")
-    return Campaign.open(directory).status()
-
-
-def campaign_export(directory, *, fmt: str = "csv", runtime: Optional[Runtime] = None) -> str:
-    """Deprecated: use ``campaign_open(directory).export(fmt=...)``."""
-    _deprecated("campaign_export(dir, ...)", "api.campaign_open(dir).export(fmt=...)")
-    return Campaign.open(directory, runtime=runtime).export(fmt=fmt)
+    return Campaign.open(directory, runtime=runtime)
 
 
 def register_trace(name: str, path) -> None:
@@ -481,10 +415,7 @@ __all__ = [
     "Campaign",
     "SimResult",
     "campaign",
-    "campaign_create",
-    "campaign_export",
     "campaign_open",
-    "campaign_status",
     "register_trace",
     "simulate",
     "submit",

@@ -1,52 +1,48 @@
-"""Sweep-orchestration subsystem: validated specs, a persistent run
-ledger, and resumable fault-tolerant execution — single-process or
+"""Sweep-orchestration subsystem: validated specs, a persistent job
+store, and resumable fault-tolerant execution — single-process or
 multi-worker.
 
-Layered on :mod:`repro.runtime`, in seven parts:
+Layered on :mod:`repro.runtime`, in six parts:
 
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the typed and
   upfront-validated contract declaring a grid of workloads × policies ×
   config overrides × seeds, expanded deterministically into content-hash
   keyed jobs;
-* :mod:`repro.campaign.ledger` — the append-only JSONL status journal
-  (``pending``/``running``/``done``/``failed`` with timings and errors)
-  living next to the spec snapshot in each campaign directory;
-* :mod:`repro.campaign.jobstore` — the sqlite backend: the same journal
-  contract in one shared WAL-mode database, plus atomic job claims with
-  worker leases and heartbeat renewal so a SIGKILL'd worker's jobs are
-  reclaimed (``--backend jsonl|sqlite`` / ``$REPRO_CAMPAIGN_BACKEND``;
-  jsonl stays the default);
+* :mod:`repro.campaign.jobstore` — the campaign store: one shared
+  WAL-mode SQLite database (``jobs.sqlite``, next to the spec snapshot)
+  holding the append-only status journal (``running``/``done``/
+  ``failed`` with timings and errors), atomic job claims with worker
+  leases and heartbeat renewal so a SIGKILL'd worker's jobs are
+  reclaimed, and the streamed telemetry samples;
 * :mod:`repro.campaign.executor` — :class:`CampaignRunner` and
   :func:`submit`: fault-isolated execution with bounded retries where a
   crashing job records its traceback and its siblings finish, plus
   resume that re-runs only unfinished work;
 * :mod:`repro.campaign.worker` — the pull-based worker loop
   (claim → execute → persist → mark done) any number of processes or
-  machines run concurrently against one sqlite job store;
+  machines run concurrently against one job store;
 * :mod:`repro.campaign.service` — a stdlib JSON-over-HTTP front-end
   (POST a spec, GET status/export) routed through :mod:`repro.api`;
 * :mod:`repro.campaign.report` — status summaries and deterministic
-  CSV/JSON export of the ledger joined with the result store, identical
-  bytes on either backend, interrupted or not.
+  CSV/JSON export of the job states joined with the result store,
+  identical bytes however the campaign was driven, interrupted or not.
 
 ``python -m repro.campaign`` (also ``python -m repro campaign``) drives
 it: ``run``, ``create``, ``status``, ``resume``, ``worker``, ``serve``,
 ``export``.  The figure scripts' multiprogrammed sweeps submit through
-:func:`submit`, making them thin views over the campaign ledger.
+:func:`submit`, making them thin views over the campaign store.
 
 (Presets live in :mod:`repro.campaign.presets`; it is imported lazily
 because it pulls in :mod:`repro.experiments`, which itself imports this
 package.)
 """
 
-from repro.campaign.ledger import JobState, Ledger, fold_records, status_counts
 from repro.campaign.jobstore import (
-    BACKENDS,
     Claim,
-    JobStoreError,
+    JobState,
     SqliteJobStore,
-    make_store,
-    resolve_backend,
+    fold_records,
+    status_counts,
 )
 from repro.campaign.spec import (
     CampaignJob,
@@ -70,7 +66,6 @@ from repro.campaign.executor import (
 from repro.campaign.worker import WorkerStats, run_worker
 
 __all__ = [
-    "BACKENDS",
     "Campaign",
     "CampaignError",
     "CampaignJob",
@@ -79,8 +74,6 @@ __all__ = [
     "CampaignSpec",
     "Claim",
     "JobState",
-    "JobStoreError",
-    "Ledger",
     "PolicyVariant",
     "SpecError",
     "SqliteJobStore",
@@ -90,8 +83,6 @@ __all__ = [
     "default_directory",
     "expand",
     "fold_records",
-    "make_store",
-    "resolve_backend",
     "run_worker",
     "status_counts",
     "submit",

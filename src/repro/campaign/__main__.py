@@ -8,10 +8,10 @@ Usage::
     python -m repro.campaign resume <campaign-dir> -j 8
     python -m repro.campaign export <campaign-dir> --format csv -o out.csv
 
-Multi-worker execution (shared SQLite job store with lease-based crash
+Multi-worker execution (shared job store with lease-based crash
 reclaim)::
 
-    python -m repro.campaign create --name paper --backend sqlite
+    python -m repro.campaign create --name paper
     python -m repro.campaign worker <campaign-dir> &   # as many as you like,
     python -m repro.campaign worker <campaign-dir>     # on any machine
     python -m repro.campaign serve --port 8642         # JSON API + dashboard
@@ -22,17 +22,16 @@ stream per-interval telemetry into the campaign store while jobs run;
 Streaming never changes results, cache keys or exports.
 
 ``run`` prints the campaign directory it used; ``status``/``resume``/
-``export`` take that directory.  A ``run`` over a directory that already
-has ledger entries refuses to proceed unless you pass ``--resume``
-(continue unfinished work) or ``--fresh`` (discard the ledger and drive
-every job again — results still cached in the store stay warm).
+``export`` take that directory.  Every campaign keeps its job states in
+``jobs.sqlite`` inside that directory.  A ``run`` over a directory that
+already has journal entries refuses to proceed unless you pass
+``--resume`` (continue unfinished work) or ``--fresh`` (discard the job
+store and drive every job again — results still cached in the result
+store stay warm).
 
-``--backend jsonl|sqlite`` (or ``$REPRO_CAMPAIGN_BACKEND``) picks the
-status journal; jsonl stays the default, and directories that already
-hold a ``jobs.sqlite`` reopen on the sqlite backend automatically.
-``worker`` requires sqlite: claims need a transactional store.  Workers
-drain gracefully on SIGTERM (current job finishes and is journaled) and
-lose nothing on SIGKILL (the lease expires; the job is reclaimed).
+Workers drain gracefully on SIGTERM (current job finishes and is
+journaled) and lose nothing on SIGKILL (the lease expires; the job is
+reclaimed).
 
 Exit codes: 0 on success, 1 if any job is failed/unfinished, 2 on usage
 or spec errors.
@@ -54,7 +53,7 @@ from repro.campaign.executor import (
     CampaignRunner,
     default_directory,
 )
-from repro.campaign.jobstore import BACKENDS, DEFAULT_LEASE, JobStoreError
+from repro.campaign.jobstore import DEFAULT_LEASE
 from repro.campaign.report import status_summary
 from repro.campaign.spec import CampaignSpec, SpecError
 
@@ -62,14 +61,13 @@ from repro.campaign.spec import CampaignSpec, SpecError
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
-        description="Declarative sweep campaigns with a persistent run ledger.",
+        description="Declarative sweep campaigns with a persistent job store.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="expand a spec and run its jobs")
     _add_spec_source(run)
     run.add_argument("--dir", help="campaign directory (default: derived from the spec)")
-    _add_backend_flag(run)
     run.add_argument(
         "--resume",
         action="store_true",
@@ -78,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fresh",
         action="store_true",
-        help="discard the existing ledger and drive every job again",
+        help="discard the existing job store and drive every job again",
     )
     run.add_argument(
         "--limit",
@@ -97,9 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     create.add_argument(
         "--dir", help="campaign directory (default: derived from the spec)"
     )
-    _add_backend_flag(create)
 
-    status = sub.add_parser("status", help="progress/failure report from the ledger")
+    status = sub.add_parser("status", help="progress/failure report from the job store")
     status.add_argument("directory", help="campaign directory")
 
     resume = sub.add_parser("resume", help="re-run only pending/failed jobs")
@@ -109,10 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="claim and execute jobs from a shared sqlite job store until "
-        "the campaign is drained",
+        help="claim and execute jobs from the campaign's shared job store "
+        "until the campaign is drained",
     )
-    worker.add_argument("directory", help="campaign directory (sqlite backend)")
+    worker.add_argument("directory", help="campaign directory")
     worker.add_argument(
         "--worker-id",
         default=None,
@@ -182,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result store exports read from (default $REPRO_CACHE_DIR)",
     )
 
-    exp = sub.add_parser("export", help="export ledger + metrics rows")
+    exp = sub.add_parser("export", help="export job + metrics rows")
     exp.add_argument("directory", help="campaign directory")
     exp.add_argument("--format", choices=("csv", "json"), default="csv")
     exp.add_argument("--output", "-o", help="output file (default: stdout)")
@@ -198,16 +195,6 @@ def _add_spec_source(parser: argparse.ArgumentParser) -> None:
         "--name", help="predefined campaign (see repro.campaign.presets)"
     )
     source.add_argument("--spec", help="path to a campaign spec JSON file")
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="status journal backend (default $REPRO_CAMPAIGN_BACKEND or jsonl; "
-        "multi-worker execution needs sqlite)",
-    )
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -270,14 +257,14 @@ def _cmd_run(args) -> int:
     runtime = _runtime(args)
     spec = _load_spec(args)
     directory = Path(args.dir) if args.dir else default_directory(spec, runtime.store.root)
-    campaign = Campaign.create(spec, directory, backend=args.backend)
-    ledger = campaign.ledger
-    if ledger.exists() and ledger.records():
+    campaign = Campaign.create(spec, directory)
+    store = campaign.ledger
+    if store.exists() and store.records():
         if args.fresh:
-            ledger.clear()
+            store.clear()
         elif not args.resume:
             print(
-                f"error: {directory} already has a run ledger; "
+                f"error: {directory} already has a job history; "
                 "pass --resume to continue it or --fresh to start over",
                 file=sys.stderr,
             )
@@ -293,11 +280,8 @@ def _cmd_create(args) -> int:
 
     spec = _load_spec(args)
     directory = Path(args.dir) if args.dir else None
-    handle = api.Campaign.create(spec, directory=directory, backend=args.backend)
-    print(
-        f"campaign {handle.name!r}: {len(handle.unique_jobs())} job(s) "
-        f"on the {handle.backend} backend"
-    )
+    handle = api.Campaign.create(spec, directory=directory)
+    print(f"campaign {handle.name!r}: {len(handle.unique_jobs())} job(s) enqueued")
     print(f"campaign directory: {handle.directory}")
     return 0
 
@@ -399,7 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecError, CampaignError, JobStoreError, KeyError) as error:
+    except (SpecError, CampaignError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

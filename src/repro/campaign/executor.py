@@ -5,16 +5,21 @@ worker count and on-disk :class:`~repro.runtime.store.ResultStore`, so a
 campaign job and the identical figure-script job share one cache entry.
 What it adds over ``Runtime.run_many`` is the campaign contract:
 
-* **fault isolation** — one crashing job appends a ``failed`` ledger
-  record carrying its traceback, content key, and config fingerprint,
+* **fault isolation** — one crashing job journals a ``failed`` record
+  carrying its traceback, content key, and config fingerprint,
   and every sibling job still runs to completion (``run_many``'s bare
   ``pool.map`` would have aborted the whole batch);
 * **bounded retries** — each job gets ``retries`` extra attempts within
   a run before its failure is final;
-* **resume** — a rerun consults the ledger and re-executes only jobs
+* **resume** — a rerun consults the journal and re-executes only jobs
   that are not ``done``; finished jobs are served straight from the
   result store, so an interrupted-then-resumed campaign performs no
   duplicate simulation work and exports bit-for-bit the same results.
+
+Job states live in the campaign's :class:`~repro.campaign.jobstore
+.SqliteJobStore` (``jobs.sqlite``).  A directory without one — written
+by an older build that journaled elsewhere — simply starts with every
+job ``pending``; each then resolves as a result-store hit.
 
 Campaign results are always persisted to the store, even under
 ``--no-cache``/``$REPRO_CACHE=0`` — a campaign *is* its on-disk record;
@@ -31,8 +36,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.ledger import JobState, status_counts
-from repro.campaign.jobstore import make_store, resolve_backend
+from repro.campaign.jobstore import DB_NAME, JobState, SqliteJobStore, status_counts
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand, unique_jobs
 from repro.runtime import JobExecutionError, config_fingerprint, execute_job, get_runtime
 from repro.sim.results import SimResult
@@ -59,7 +63,7 @@ def default_directory(spec: CampaignSpec, store_root=None) -> Path:
     """Canonical directory for a spec: ``<root>/<name>-<fingerprint12>``.
 
     The fingerprint suffix means the same campaign name at a different
-    scale/grid gets its own ledger instead of clashing.
+    scale/grid gets its own job store instead of clashing.
     """
     return campaigns_root(store_root) / f"{spec.name}-{spec.fingerprint()[:12]}"
 
@@ -87,30 +91,21 @@ def _write_json_exclusive(path: Path, payload: Dict) -> None:
 
 
 class Campaign:
-    """A spec bound to its on-disk directory (snapshot + ledger/job store).
+    """A spec bound to its on-disk directory (snapshot + job store)."""
 
-    ``backend`` picks the status journal: ``"jsonl"`` (the default
-    append-only :class:`~repro.campaign.ledger.Ledger`) or ``"sqlite"``
-    (the multi-worker :class:`~repro.campaign.jobstore.SqliteJobStore`
-    with lease-based claims).  Resolution order: explicit argument,
-    ``$REPRO_CAMPAIGN_BACKEND``, auto-detection of an existing
-    ``jobs.sqlite``, then jsonl.
-    """
-
-    def __init__(self, directory, spec: CampaignSpec, backend: Optional[str] = None):
+    def __init__(self, directory, spec: CampaignSpec):
         self.directory = Path(directory)
         self.spec = spec
-        self.backend = resolve_backend(backend, self.directory)
         self._jobs: Optional[List[CampaignJob]] = None
 
     # -- open/create ----------------------------------------------------------
 
     @classmethod
-    def create(cls, spec: CampaignSpec, directory=None, backend=None) -> "Campaign":
+    def create(cls, spec: CampaignSpec, directory=None) -> "Campaign":
         """Bind ``spec`` to ``directory``, writing the snapshot on first use.
 
         Reopening an existing directory with a *different* spec is an
-        error — the ledger would silently describe the wrong grid.  The
+        error — the job store would silently describe the wrong grid.  The
         snapshot is created exclusively (hard-link rename), so when two
         creators race, exactly one writes it; the loser re-validates the
         winner's fingerprint and either adopts the directory or fails.
@@ -123,7 +118,7 @@ class Campaign:
                 {"fingerprint": spec.fingerprint(), "spec": spec.to_dict()},
             )
         except FileExistsError:
-            existing = cls.open(directory, backend=backend)
+            existing = cls.open(directory)
             if existing.spec.fingerprint() != spec.fingerprint():
                 raise CampaignError(
                     f"campaign directory {directory} already holds campaign "
@@ -132,14 +127,10 @@ class Campaign:
                     f"{spec.fingerprint()[:12]}); pick another --dir or delete it"
                 ) from None
             return existing
-        campaign = cls(directory, spec, backend=backend)
-        # Materialize the store now so later open() calls auto-detect
-        # the same backend this campaign was created on.
-        campaign.ledger.initialize()
-        return campaign
+        return cls(directory, spec)
 
     @classmethod
-    def open(cls, directory, backend=None) -> "Campaign":
+    def open(cls, directory) -> "Campaign":
         directory = Path(directory)
         spec_path = directory / SPEC_FILE
         try:
@@ -152,14 +143,14 @@ class Campaign:
             ) from None
         except (OSError, json.JSONDecodeError) as exc:
             raise CampaignError(f"unreadable campaign snapshot {spec_path}: {exc}") from exc
-        return cls(directory, CampaignSpec.from_dict(payload["spec"]), backend=backend)
+        return cls(directory, CampaignSpec.from_dict(payload["spec"]))
 
     # -- derived views --------------------------------------------------------
 
     @property
-    def ledger(self):
-        """The status journal on this campaign's backend (Ledger-compatible)."""
-        return make_store(self.directory, self.backend)
+    def ledger(self) -> SqliteJobStore:
+        """This campaign's job store (status journal, leases, samples)."""
+        return SqliteJobStore(self.directory / DB_NAME)
 
     def jobs(self) -> List[CampaignJob]:
         """Full deterministic expansion (duplicates included)."""
@@ -171,7 +162,7 @@ class Campaign:
         return unique_jobs(self.jobs())
 
     def states(self) -> Dict[str, JobState]:
-        """Ledger fold extended with implicit ``pending`` entries."""
+        """Journal fold extended with implicit ``pending`` entries."""
         states = self.ledger.fold()
         for job in self.unique_jobs():
             states.setdefault(job.key, JobState(job.key))
@@ -289,8 +280,7 @@ class CampaignRunner:
     """Drives a campaign to completion on top of the process-wide runtime.
 
     ``stream=True`` streams per-interval telemetry samples into the
-    campaign's store while each job runs (the jsonl backend lands them
-    in the ``samples.jsonl`` sidecar, sqlite in its ``samples`` table).
+    ``samples`` table of the campaign's store while each job runs.
     Streaming is serial-only here — the collector cannot cross the
     process-pool boundary; multi-process streaming is the job of
     ``python -m repro.campaign worker --stream``.
@@ -304,7 +294,7 @@ class CampaignRunner:
         self.retries = max(0, int(retries))
         self.stream = bool(stream)
 
-    # -- ledger plumbing ------------------------------------------------------
+    # -- journal plumbing -----------------------------------------------------
 
     def _record(self, job: CampaignJob, status: str, attempt: int, **extra) -> None:
         self.campaign.ledger.append(
@@ -330,7 +320,7 @@ class CampaignRunner:
     def run(self, resume: bool = True, limit: Optional[int] = None) -> CampaignRun:
         """Execute the campaign; returns the (possibly partial) run.
 
-        ``resume=True`` (the default) skips jobs whose ledger state is
+        ``resume=True`` (the default) skips jobs whose journaled state is
         ``done`` and whose result is present in the store.  ``limit``
         executes at most that many jobs and leaves the rest pending —
         the hook the CI smoke job uses to emulate a mid-run kill.

@@ -1,14 +1,23 @@
-"""SQLite-backed job store: the ledger contract plus worker leases.
+"""The campaign store: one WAL-mode SQLite database per campaign.
 
-The JSONL :class:`~repro.campaign.ledger.Ledger` is a journal — perfect
-for one executor appending history, useless for N workers racing to
-*claim* work.  This module keeps the journal (an append-only ``records``
-table folded by the exact same :func:`~repro.campaign.ledger.fold_records`
-logic) and adds the coordination the ROADMAP's multi-worker campaign
-execution needs, PyExperimenter-style: jobs are rows in one shared
-WAL-mode SQLite database (``jobs.sqlite`` in the campaign directory),
-and any number of worker processes — on any machine that can reach the
-file — pull open jobs from it.
+Every campaign keeps its whole mutable state in ``jobs.sqlite`` next to
+its ``campaign.json`` snapshot, PyExperimenter-style — one shared
+database that any number of worker processes (on any machine that can
+reach the file) pull jobs from.  It holds three tables:
+
+* ``records`` — the append-only status journal.  Every state transition
+  of every job is one JSON record: ``running`` when an attempt starts,
+  then ``done`` (elapsed time, worker, cache hit) or ``failed`` (error
+  text, config fingerprint).  A job's *current* state is the fold of its
+  records, last status wins (:func:`fold_records`), so the table doubles
+  as a complete execution history.
+* ``jobs`` — one row per job key with its live claim: state, attempt
+  count, worker and lease expiry.
+* ``samples`` — streamed per-interval telemetry (DESIGN.md §14).
+
+Jobs are keyed by their :class:`~repro.runtime.SimJob` content hash, the
+same key the result store uses, which is what lets resume trust a
+``done`` record: the result it promises is addressable in the store.
 
 The claim protocol:
 
@@ -22,18 +31,18 @@ The claim protocol:
   stops heartbeating; once its lease expires the job is claimable again
   and the campaign loses nothing.
 * :meth:`SqliteJobStore.append` journals ``done``/``failed`` (releasing
-  the lease) and keeps the per-job current-state row in step, so the
-  store also works as a drop-in ledger backend for the single-process
-  :class:`~repro.campaign.executor.CampaignRunner`.
+  the lease) and keeps the per-job row in step; the single-process
+  :class:`~repro.campaign.executor.CampaignRunner` drives the store
+  through this method alone.
 
-Backend selection (``jsonl`` stays the default) is a knob: the
-``--backend`` CLI flag, then ``$REPRO_CAMPAIGN_BACKEND``, then
-auto-detection — a campaign directory that already holds ``jobs.sqlite``
-reopens on the sqlite backend, so ``status``/``export`` need no flag.
+Durability: WAL mode with ``synchronous=NORMAL`` never corrupts the
+database; a power cut can drop only the last committed transactions.
+A lost ``done`` record merely re-runs a deterministic, content-addressed
+job (a result-store hit), so nothing is lost but time.
 
-Determinism contract: fold semantics, job keys and the result store are
-identical across backends, so an interrupted-then-resumed multi-worker
-sqlite campaign exports byte-for-byte what a single-process JSONL run
+Determinism contract: fold semantics, job keys and the result store do
+not depend on how a campaign was driven, so an interrupted-then-resumed
+multi-worker campaign exports byte-for-byte what a single-process run
 exports (CI's ``distributed-smoke`` job asserts this with ``cmp``).
 """
 
@@ -44,20 +53,15 @@ import os
 import sqlite3
 import time
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.campaign.ledger import (
-    LEDGER_NAME,
-    JobState,
-    Ledger,
-    fold_records,
-)
-
 DB_NAME = "jobs.sqlite"
 
-BACKENDS = ("jsonl", "sqlite")
+# Every state a job can be in.  "pending" and "interrupted" are derived
+# (no record / last record is "running"); only the others are written.
+STATUSES = ("pending", "running", "interrupted", "done", "failed")
 
 # Lease granted to a claim (seconds) unless the claimer says otherwise.
 # Workers heartbeat at a fraction of this, so only a dead worker ever
@@ -100,38 +104,54 @@ _SCHEMA = (
 )
 
 
-class JobStoreError(RuntimeError):
-    """A job-store-level failure (bad backend name, claim misuse, ...)."""
+@dataclass
+class JobState:
+    """Folded view of one job's journal records."""
+
+    key: str
+    status: str = "pending"
+    attempts: int = 0
+    error: Optional[str] = None
+    elapsed: Optional[float] = None
+    worker: Optional[int] = None
+    cached: bool = False
+    meta: Dict = field(default_factory=dict)
 
 
-def resolve_backend(backend: Optional[str] = None, directory=None) -> str:
-    """Pick the campaign backend: explicit > env > detection > jsonl.
+def fold_records(records: Iterable[Dict]) -> Dict[str, JobState]:
+    """Current state per job key: replay records, last status wins.
 
-    Detection means: a directory that already holds ``jobs.sqlite``
-    reopens as sqlite, so read-only commands (status/export) follow the
-    backend the campaign actually ran on without needing a flag.
+    A job whose last record is ``running`` folds to ``interrupted``
+    (its attempt started and never finished); resume and claim treat it
+    exactly like ``pending``.
     """
-    if backend is None:
-        backend = os.environ.get("REPRO_CAMPAIGN_BACKEND") or None
-    if backend is None and directory is not None:
-        if (Path(directory) / DB_NAME).is_file():
-            backend = "sqlite"
-    backend = backend or "jsonl"
-    if backend not in BACKENDS:
-        raise JobStoreError(
-            f"unknown campaign backend {backend!r}; "
-            f"known backends: {', '.join(BACKENDS)}"
-        )
-    return backend
+    states: Dict[str, JobState] = {}
+    for record in records:
+        key = record["key"]
+        state = states.setdefault(key, JobState(key))
+        status = record["status"]
+        if status == "running":
+            state.status = "interrupted"  # until a done/failed follows
+            state.attempts += 1
+            state.worker = record.get("worker")
+            state.error = None
+        elif status in ("done", "failed"):
+            state.status = status
+            state.error = record.get("error")
+            state.elapsed = record.get("elapsed")
+            state.worker = record.get("worker", state.worker)
+            state.cached = bool(record.get("cached", False))
+        if record.get("job"):
+            state.meta = record["job"]
+    return states
 
 
-def make_store(directory, backend: Optional[str] = None):
-    """The ledger/job-store for a campaign directory on a given backend."""
-    directory = Path(directory)
-    backend = resolve_backend(backend, directory)
-    if backend == "sqlite":
-        return SqliteJobStore(directory / DB_NAME)
-    return Ledger(directory / LEDGER_NAME)
+def status_counts(states: Iterable[JobState]) -> Dict[str, int]:
+    """Histogram of job statuses in canonical order."""
+    counts = {status: 0 for status in STATUSES}
+    for state in states:
+        counts[state.status] = counts.get(state.status, 0) + 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -145,7 +165,7 @@ class Claim:
 
 
 class SqliteJobStore:
-    """Shared WAL-mode job store implementing the ledger contract + leases.
+    """Shared WAL-mode campaign store: status journal, job leases, samples.
 
     Every public method opens a short-lived connection, so one store
     object is safe to use from any thread (the heartbeat thread included)
@@ -171,15 +191,10 @@ class SqliteJobStore:
             conn.execute(statement)
         return conn
 
-    # -- ledger contract ------------------------------------------------------
+    # -- the status journal ---------------------------------------------------
 
     def exists(self) -> bool:
         return self.path.is_file()
-
-    def initialize(self) -> None:
-        """Create the database and schema (so backend detection sticks)."""
-        with closing(self._connect()):
-            pass
 
     def clear(self) -> None:
         """Discard the store, including WAL sidecar files (``--fresh``)."""
@@ -190,11 +205,7 @@ class SqliteJobStore:
                 pass
 
     def append(self, record: Dict) -> None:
-        """Journal one state transition and update the job's current row.
-
-        Same record shape as :meth:`Ledger.append` takes, so the
-        executor drives either backend through one code path.
-        """
+        """Journal one state transition and update the job's current row."""
         record = dict(record)
         record.setdefault("ts", time.time())
         with closing(self._connect()) as conn:
@@ -213,18 +224,10 @@ class SqliteJobStore:
             return []
         with closing(self._connect()) as conn:
             rows = conn.execute("SELECT record FROM records ORDER BY id").fetchall()
-        records = []
-        for (text,) in rows:
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "key" in record and "status" in record:
-                records.append(record)
-        return records
+        return [json.loads(text) for (text,) in rows]
 
     def fold(self) -> Dict[str, JobState]:
-        """Journal fold (ledger semantics) overlaid with live lease info.
+        """Journal fold (:func:`fold_records`) overlaid with live lease info.
 
         A job whose last record is ``running`` folds to ``interrupted``
         in the journal; if its lease is still live some worker is

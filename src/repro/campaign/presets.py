@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.campaign.spec import CampaignSpec, Workload
+from repro.campaign.spec import CampaignSpec, SpecError, Workload
 from repro.experiments.runner import DEFAULT_POLICIES, Scale
 from repro.workloads import workload_mixes
 
@@ -63,10 +63,8 @@ PRESETS: Dict[str, Callable[[Optional[Scale]], CampaignSpec]] = {
 
 def build(name: str, scale: Optional[Scale] = None) -> CampaignSpec:
     """Build a preset campaign by name, or raise with the known names."""
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        raise KeyError(
+    if name not in PRESETS:
+        raise SpecError(
             f"unknown campaign preset {name!r}; known presets: {', '.join(sorted(PRESETS))}"
-        ) from None
-    return builder(scale)
+        )
+    return PRESETS[name](scale)

@@ -1,17 +1,17 @@
 """Status summaries and metric export for campaigns.
 
-``status_summary`` renders the ledger's view of a campaign — the
+``status_summary`` renders the job store's view of a campaign — the
 progress histogram, cumulative simulation time, and the identity + error
 of every failed job — for ``python -m repro.campaign status``.
 
-``export_rows`` joins the ledger with the result store into one flat row
+``export_rows`` joins the job states with the result store into one flat row
 per unique job: grid coordinates, status, and headline metrics
 (cycles, traffic, IPCs, and WS/HS/UF for grid jobs whose workload has
 alone coverage).  Rows deliberately contain **no run history** — no
 timestamps, worker ids, or attempt counts (a job reclaimed from a
 crashed worker legitimately takes more attempts than a clean run) — so
 an interrupted-then-resumed campaign exports bit-for-bit the same bytes
-as an uninterrupted one, on either ledger backend.  The CI smoke jobs
+as an uninterrupted one, single-process or multi-worker.  The CI smoke jobs
 (``campaign-smoke``, ``distributed-smoke``) assert exactly that with
 ``cmp``.
 """

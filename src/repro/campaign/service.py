@@ -11,11 +11,11 @@ Endpoints (all JSON unless noted):
   (dependency-free static HTML + inline JS polling the JSON below).
 * ``GET  /healthz`` — liveness probe.
 * ``GET  /campaigns`` — every campaign under the service root with its
-  backend and status histogram.
-* ``POST /campaigns`` — body is a :class:`CampaignSpec` dict (or
-  ``{"spec": {...}, "backend": "sqlite"}``); creates the campaign
-  directory (sqlite backend by default — the service exists for
-  multi-worker execution), enqueues the expansion, and returns its id.
+  status histogram.
+* ``POST /campaigns`` — body is a :class:`CampaignSpec` dict with an
+  optional ``"directory"``, or the envelope ``{"spec": {...},
+  "directory": "..."}``; any other key is a 400 naming it.  Creates the
+  campaign directory, enqueues the expansion, and returns its id.
   Re-POSTing an identical spec is idempotent; a different spec for the
   same directory is a 409.
 * ``GET  /campaigns/<id>/status`` — status counts + human summary.
@@ -47,7 +47,6 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaign.executor import SPEC_FILE, CampaignError, campaigns_root
-from repro.campaign.jobstore import JobStoreError
 from repro.campaign.spec import SpecError
 
 DEFAULT_PORT = 8642
@@ -117,16 +116,25 @@ class CampaignService:
 
         if not isinstance(payload, dict):
             raise ServiceError(400, "request body must be a JSON object")
-        spec = payload.get("spec", payload)
-        backend = payload.get("backend", "sqlite")
+        if "spec" in payload:
+            spec = payload["spec"]
+            unknown = sorted(set(payload) - {"spec", "directory"})
+            if unknown:
+                raise ServiceError(
+                    400,
+                    f"unknown request field {', '.join(map(repr, unknown))}; "
+                    "a request body is a bare spec or "
+                    '{"spec": ..., "directory": ...}',
+                )
+        else:
+            # A bare spec: CampaignSpec.from_dict rejects unknown fields.
+            spec = {key: value for key, value in payload.items() if key != "directory"}
         directory = None
         if isinstance(payload.get("directory"), str):
             directory = self.root / _campaign_id(payload["directory"])
         try:
-            campaign = api.Campaign.create(
-                spec, directory=directory, backend=backend, root=self.root
-            )
-        except (SpecError, JobStoreError, KeyError) as error:
+            campaign = api.Campaign.create(spec, directory=directory, root=self.root)
+        except SpecError as error:
             raise ServiceError(400, str(error)) from error
         except CampaignError as error:
             raise ServiceError(409, str(error)) from error
@@ -135,7 +143,6 @@ class CampaignService:
             "directory": str(campaign.directory),
             "name": campaign.name,
             "fingerprint": campaign.spec.fingerprint(),
-            "backend": campaign.backend,
             "jobs": len(campaign.unique_jobs()),
         }
 
@@ -175,12 +182,7 @@ class CampaignService:
         return queue_pressure(self._open(campaign_id).inner)
 
     def samples(self, campaign_id: str, after: int) -> Dict:
-        store = self._open(campaign_id).inner.ledger
-        if not hasattr(store, "samples_since"):
-            raise ServiceError(
-                404, f"campaign {campaign_id!r} has no sample stream"
-            )
-        rows, cursor = store.samples_since(after)
+        rows, cursor = self._open(campaign_id).inner.ledger.samples_since(after)
         return {"rows": rows, "cursor": cursor}
 
 

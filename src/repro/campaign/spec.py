@@ -11,7 +11,7 @@ did-you-mean suggestions), so the executor only ever sees runnable jobs.
 :func:`expand` turns a spec into a deterministic, ordered list of
 :class:`CampaignJob` values.  Each wraps one :class:`~repro.runtime.SimJob`
 plus the grid coordinates it came from; the job's content hash
-(``CampaignJob.key``) is the identity used by the ledger, the result
+(``CampaignJob.key``) is the identity used by the job store, the result
 store, and the resume logic.  Two expansions of equal specs produce the
 same jobs in the same order, which is what makes resumed and
 uninterrupted campaigns bit-for-bit comparable.
@@ -29,6 +29,22 @@ from repro.runtime import SimJob, content_hash
 from repro.workloads.profiles import ALL_BENCHMARKS
 
 SPEC_VERSION = 1
+
+# Top-level fields of a spec dict (the keys :meth:`CampaignSpec.to_dict`
+# writes); ``from_dict`` rejects any other key so a typo cannot silently
+# fall back to a default.
+SPEC_FIELDS = (
+    "spec_version",
+    "name",
+    "accesses",
+    "workloads",
+    "policies",
+    "variants",
+    "seeds",
+    "include_alone",
+    "alone_policy",
+    "sim_kwargs",
+)
 
 # JSON-primitive types allowed as override / sim-kwarg values (anything
 # else could not round-trip through the campaign.json snapshot).
@@ -306,7 +322,18 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CampaignSpec":
         """Inverse of :meth:`to_dict`; also accepts the hand-written
-        shorthand (plain benchmark lists, bare policy names)."""
+        shorthand (plain benchmark lists, bare policy names).  Unknown
+        top-level fields are rejected with a did-you-mean."""
+        if not isinstance(payload, Mapping):
+            raise SpecError(
+                f"a campaign spec must be a JSON object, got {type(payload).__name__}"
+            )
+        for key in payload:
+            if key not in SPEC_FIELDS:
+                raise SpecError(
+                    f"unknown spec field {key!r}{_suggest(str(key), SPEC_FIELDS)}; "
+                    f"known fields: {', '.join(SPEC_FIELDS)}"
+                )
         try:
             version = int(payload.get("spec_version", SPEC_VERSION))
             if version != SPEC_VERSION:

@@ -1,7 +1,7 @@
 """The pull-based campaign worker: claim → execute → persist → mark done.
 
 ``python -m repro.campaign worker <dir>`` runs this loop against a
-campaign on the sqlite backend.  Any number of workers — separate
+campaign's job store.  Any number of workers — separate
 processes, separate machines sharing the campaign directory and result
 store — drain one campaign concurrently:
 
@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.campaign.executor import Campaign, CampaignError
+from repro.campaign.executor import Campaign
 from repro.campaign.jobstore import Claim, SqliteJobStore
 from repro.campaign.spec import CampaignJob
 from repro.runtime import config_fingerprint, execute_job, get_runtime
@@ -48,7 +48,7 @@ def default_worker_id() -> str:
 
 
 def job_meta(job: CampaignJob) -> Dict:
-    """The ledger ``job`` payload: same shape CampaignRunner records."""
+    """The journal ``job`` payload: same shape CampaignRunner records."""
     return {
         "kind": job.kind,
         "benchmarks": list(job.benchmarks),
@@ -147,12 +147,6 @@ def run_worker(
     """
     runtime = runtime or get_runtime()
     store = campaign.ledger
-    if not isinstance(store, SqliteJobStore):
-        raise CampaignError(
-            f"worker needs the sqlite backend (campaign {campaign.directory} "
-            f"is on {campaign.backend!r}); create the campaign with "
-            "--backend sqlite or set $REPRO_CAMPAIGN_BACKEND=sqlite"
-        )
     if lease is not None:
         store.lease = float(lease)
     lease = store.lease

@@ -8,7 +8,8 @@ Subcommands::
     python -m repro experiment fig16 fig01     # regenerate paper artifacts
     python -m repro campaign run --name paper  # ledgered sweep (run/status/resume/export)
     python -m repro telemetry report result.json  # interval telemetry reports
-    python -m repro trace swim out.trace.gz --accesses 10000
+
+Synthetic traces are written with ``python -m repro.trace synth``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from typing import List, Optional
 
 from repro import api
 from repro.controller.cost import cost_as_fraction_of_l2, padc_storage_cost
-from repro.core.tracefile import save_trace
 from repro.metrics import harmonic_speedup, unfairness, weighted_speedup
 from repro.params import ALL_POLICIES, baseline_config
 from repro.runtime import SimJob
-from repro.workloads import ALL_BENCHMARKS, make_trace
+from repro.workloads import ALL_BENCHMARKS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,16 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run paper experiments")
     experiment.add_argument("names", nargs="+", help="experiment ids, or 'all'")
     _add_runtime_flags(experiment)
-
-    trace = sub.add_parser(
-        "trace",
-        help="dump a synthetic trace (.rtr binary if the output ends in "
-        ".rtr, else legacy gzip text; see python -m repro.trace)",
-    )
-    trace.add_argument("benchmark")
-    trace.add_argument("output")
-    trace.add_argument("--accesses", type=int, default=10_000)
-    trace.add_argument("--seed", type=int, default=0)
 
     campaign = sub.add_parser(
         "campaign",
@@ -269,22 +259,6 @@ def _cmd_telemetry(args) -> int:
     return telemetry_main(args.rest)
 
 
-def _cmd_trace(args) -> int:
-    entries = make_trace(args.benchmark, seed=args.seed)
-    if args.output.endswith(".rtr"):
-        from repro.trace import write_trace
-
-        header = write_trace(args.output, entries, limit=args.accesses)
-        print(
-            f"wrote {header.entries} accesses to {args.output} "
-            f"(digest {header.digest[:16]}...)"
-        )
-        return 0
-    count = save_trace(entries, args.output, limit=args.accesses)
-    print(f"wrote {count} accesses to {args.output}")
-    return 0
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "benchmarks": _cmd_benchmarks,
@@ -292,7 +266,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "campaign": _cmd_campaign,
     "telemetry": _cmd_telemetry,
-    "trace": _cmd_trace,
 }
 
 

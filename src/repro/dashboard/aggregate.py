@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.ledger import status_counts
+from repro.campaign.jobstore import status_counts
 from repro.telemetry.trace import CORE_SERIES, SYSTEM_SERIES  # noqa: F401 - doc anchor
 
 
 def _streams(store) -> Dict[str, List[Dict]]:
     """Streamed records grouped per job key, in stream order."""
-    if not hasattr(store, "samples_since"):
-        return {}
     rows, _ = store.samples_since(0)
     streams: Dict[str, List[Dict]] = {}
     for row in rows:
@@ -72,8 +70,7 @@ def progress(campaign) -> Dict:
     ]
     remaining = total - done
     eta = round(sum(elapsed) / len(elapsed) * remaining, 3) if elapsed and remaining else 0.0
-    store = campaign.ledger
-    sample_counts = store.sample_counts() if hasattr(store, "sample_counts") else {}
+    sample_counts = campaign.ledger.sample_counts()
     return {
         "total": total,
         "counts": counts,
@@ -250,7 +247,6 @@ def campaign_metrics(campaign, *, max_jobs: Optional[int] = None) -> Dict:
     return {
         "id": campaign.directory.name,
         "name": campaign.spec.name,
-        "backend": campaign.backend,
         "progress": progress(campaign),
         "series": series(campaign, max_jobs=max_jobs),
         "fdp": fdp_histogram(campaign),

@@ -297,8 +297,7 @@ async function tick() {
     }
     selected = picker.value || ids[0];
     const metrics = await fetchJson("/campaigns/" + selected + "/metrics");
-    document.getElementById("campaign-meta").textContent =
-      metrics.name + " · backend " + metrics.backend;
+    document.getElementById("campaign-meta").textContent = metrics.name;
     renderProgress(metrics.progress);
     renderHeatmap(metrics.progress);
     renderSeries(metrics.series);

@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="phase summaries for a campaign's traced results"
     )
-    campaign.add_argument("directory", help="campaign directory (spec + ledger)")
+    campaign.add_argument("directory", help="campaign directory (spec + job store)")
     campaign.add_argument(
         "--cache-dir",
         default=None,

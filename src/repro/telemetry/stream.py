@@ -177,8 +177,9 @@ class SampleBatcher:
 def streamed_execute(job, store, key: str, batch: int = DEFAULT_BATCH):
     """Run one job with live sample streaming into ``store``.
 
-    ``store`` is any ledger backend with ``append_samples(key, records)``
-    (the SQLite job store or the JSONL sidecar).  The job's own
+    ``store`` is anything with ``append_samples(key, records)`` — in
+    practice the campaign's :class:`~repro.campaign.jobstore
+    .SqliteJobStore`.  The job's own
     ``sim_kwargs`` are untouched — cache keys and the persisted result
     are identical to an unstreamed run; :func:`~repro.runtime.execute_job`
     strips the piggy-backed trace when the job did not ask for telemetry.

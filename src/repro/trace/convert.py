@@ -30,8 +30,11 @@ Supported input dialects:
   instructions — the knob is the stand-in for a real instruction
   stream and defaults to 500).
 
-* **repro-text** — the legacy gzip text format written by
-  :func:`repro.core.tracefile.save_trace` (``gap addr pc [W]``).
+* **repro-text** — the retired gzip text trace format (``.trace.gz``),
+  still readable so old captures convert::
+
+      # repro-trace v1
+      <gap> <line_addr> <pc> [W]
 
 Blank lines and ``#`` comments are ignored everywhere.
 """
@@ -39,11 +42,11 @@ Blank lines and ``#`` comments are ignored everywhere.
 from __future__ import annotations
 
 import csv
+import gzip
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.core.trace import TraceEntry
-from repro.core.tracefile import load_trace
 from repro.trace.format import DEFAULT_BLOCK_ENTRIES, TraceHeader, write_trace
 
 PathLike = Union[str, Path]
@@ -173,8 +176,19 @@ def iter_gem5(
 
 
 def iter_repro_text(path: PathLike) -> Iterator[TraceEntry]:
-    """Parse the legacy gzip text format (``repro.core.tracefile``)."""
-    return load_trace(path)
+    """Parse the retired gzip text format (``gap addr pc [W]``, streaming)."""
+    with gzip.open(path, "rt") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            fields = text.split()
+            if len(fields) not in (3, 4):
+                raise ConvertError(
+                    f"{path}:{line_number}: expected 'gap addr pc [W]', got {text!r}"
+                )
+            is_write = len(fields) == 4 and fields[3].upper() == "W"
+            yield TraceEntry(int(fields[0]), int(fields[1]), int(fields[2]), is_write)
 
 
 def convert(

@@ -92,7 +92,7 @@ def test_api_campaign_runs_a_spec_dict(tmp_path):
 
 
 def test_api_campaign_rejects_unknown_preset():
-    with pytest.raises(KeyError, match="unknown campaign preset"):
+    with pytest.raises(SpecError, match="unknown campaign preset"):
         api.campaign("no-such-preset")
 
 

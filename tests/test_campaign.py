@@ -1,5 +1,5 @@
 """Campaign subsystem tests: validated specs, deterministic expansion,
-the append-only ledger, crash/resume fault tolerance, and the CLI.
+the append-only status journal, crash/resume fault tolerance, and the CLI.
 
 The crash/resume cases monkeypatch ``repro.sim.simulate`` (PR-1 style)
 so a chosen job fails deterministically, then assert the campaign
@@ -26,7 +26,7 @@ from repro.campaign import (
     unique_jobs,
 )
 from repro.campaign.__main__ import main as campaign_main
-from repro.campaign.ledger import Ledger
+from repro.campaign.jobstore import DB_NAME, SqliteJobStore
 from repro.campaign.report import export, status_summary
 
 POLICIES = ("demand-first", "padc")
@@ -138,6 +138,20 @@ class TestSpecValidation:
             "padc-rank", "padc", use_ranking=True
         )
 
+    def test_from_dict_rejects_unknown_fields(self):
+        base = {
+            "name": "typo",
+            "accesses": 200,
+            "workloads": [["swim"]],
+            "policies": ["padc"],
+        }
+        for typo, intended in (("seed", "seeds"), ("includ_alone", "include_alone")):
+            with pytest.raises(SpecError) as excinfo:
+                CampaignSpec.from_dict(dict(base, **{typo: False}))
+            message = str(excinfo.value)
+            assert repr(typo) in message
+            assert f"did you mean {intended}" in message
+
 
 class TestExpansion:
     def test_deterministic_order_and_keys(self):
@@ -186,28 +200,21 @@ class TestExpansion:
 
 class TestLedger:
     def test_fold_last_status_wins(self, tmp_path):
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        ledger.append({"key": "k1", "status": "running", "worker": 1})
-        ledger.append({"key": "k1", "status": "failed", "error": "boom"})
-        ledger.append({"key": "k1", "status": "running", "worker": 2})
-        ledger.append({"key": "k1", "status": "done", "elapsed": 0.5, "cached": False})
-        state = ledger.fold()["k1"]
+        store = SqliteJobStore(tmp_path / DB_NAME)
+        store.append({"key": "k1", "status": "running", "worker": 1})
+        store.append({"key": "k1", "status": "failed", "error": "boom"})
+        store.append({"key": "k1", "status": "running", "worker": 2})
+        store.append({"key": "k1", "status": "done", "elapsed": 0.5, "cached": False})
+        state = store.fold()["k1"]
         assert state.status == "done"
         assert state.attempts == 2
         assert state.error is None
 
     def test_interrupted_run_shows_as_interrupted(self, tmp_path):
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        ledger.append({"key": "k1", "status": "running"})
-        assert ledger.fold()["k1"].status == "interrupted"
-
-    def test_corrupt_trailing_line_skipped(self, tmp_path):
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        ledger.append({"key": "k1", "status": "done"})
-        with open(ledger.path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "k2", "status": "don')  # torn write
-        assert [record["key"] for record in ledger.records()] == ["k1"]
-        assert ledger.fold()["k1"].status == "done"
+        # A zero lease: the attempt's holder is gone, as after a crash.
+        store = SqliteJobStore(tmp_path / DB_NAME, lease=0.0)
+        store.append({"key": "k1", "status": "running"})
+        assert store.fold()["k1"].status == "interrupted"
 
 
 class TestCrashResume:
@@ -469,6 +476,7 @@ class TestCLI:
         assert campaign_main(["run", "--name", "nope"]) == 2
         err = capsys.readouterr().err
         assert "smoke" in err and "paper" in err
+        assert err.startswith("error: unknown campaign preset 'nope'")
 
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -82,7 +82,6 @@ class TestServiceEndpoints:
             f"{base}/campaigns", payload={"spec": small_spec_dict()}, method="POST"
         )
         assert status == 201, created
-        assert created["backend"] == "sqlite"  # the service default
         assert created["jobs"] == 2
         campaign_id = created["id"]
 
@@ -161,6 +160,11 @@ class TestServiceValidation:
         )
         assert status == 400
         assert "error" in body
+        status, body = request(
+            f"{base}/campaigns", payload={"spec": ["not", "a", "spec"]}, method="POST"
+        )
+        assert status == 400
+        assert "JSON object" in body["error"]
 
     def test_non_json_body_is_400(self, server):
         base, _ = server
@@ -224,14 +228,24 @@ class TestServiceValidation:
         assert _campaign_id("smoke-abc123") == "smoke-abc123"
 
     def test_unknown_backend_is_400(self, server):
+        """The retired ``backend`` key is an unknown field, in an
+        envelope and in a bare spec alike."""
+        base, _ = server
+        for payload in (
+            {"spec": small_spec_dict(), "backend": "postgres"},
+            {**small_spec_dict(), "backend": "postgres"},
+        ):
+            status, body = request(f"{base}/campaigns", payload=payload, method="POST")
+            assert status == 400
+            assert "unknown" in body["error"] and "'backend'" in body["error"]
+
+    def test_unknown_preset_is_400(self, server):
         base, _ = server
         status, body = request(
-            f"{base}/campaigns",
-            payload={"spec": small_spec_dict(), "backend": "postgres"},
-            method="POST",
+            f"{base}/campaigns", payload={"spec": "nope"}, method="POST"
         )
         assert status == 400
-        assert "postgres" in body["error"]
+        assert body["error"].startswith("unknown campaign preset 'nope'")
 
 
 class TestServiceObject:
@@ -249,8 +263,8 @@ class TestServiceObject:
         (tmp_path / "stray" / "notes.txt").write_text("not a campaign")
         assert service.list_campaigns() == {"campaigns": []}
 
-    def test_service_export_matches_jsonl_runner(self, tmp_path):
-        """The service path (sqlite) exports what a local jsonl run does."""
+    def test_service_export_matches_serial_runner(self, tmp_path):
+        """The service path exports what a local single-process run does."""
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
         service = CampaignService(root=tmp_path / "campaigns", runtime=executor)
         created = service.create_campaign({"spec": small_spec_dict()})

@@ -76,13 +76,6 @@ class TestOtherCommands:
         assert main(["cost", "--cores", "4", "--ranking"]) == 0
         assert "RANK" in capsys.readouterr().out
 
-    def test_trace_dump(self, tmp_path, capsys):
-        out_file = tmp_path / "t.gz"
-        code = main(["trace", "swim", str(out_file), "--accesses", "300"])
-        assert code == 0
-        assert out_file.exists()
-        assert "300" in capsys.readouterr().out
-
     def test_experiment_subcommand(self, capsys):
         assert main(["experiment", "fig02"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,8 @@
-"""SQLite job store + worker tests: the ledger contract on WAL SQLite,
-atomic lease-based claims, heartbeat renewal, crash reclaim (including a
-real SIGKILL'd worker subprocess), concurrent creators, multi-writer
-JSONL appends, and jsonl-vs-sqlite export byte-equality.
+"""Job store + worker tests: the status journal on WAL SQLite, atomic
+lease-based claims, heartbeat renewal, crash reclaim (including a real
+SIGKILL'd worker subprocess), concurrent creators, export byte-equality
+against a single-process run, and campaign directories that predate the
+job store.
 """
 
 import json
@@ -15,17 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import runtime
+from repro import api, runtime, sim
 from repro.campaign import (
     Campaign,
     CampaignError,
     CampaignRunner,
     CampaignSpec,
-    JobStoreError,
-    Ledger,
     SqliteJobStore,
-    make_store,
-    resolve_backend,
+    fold_records,
     run_worker,
 )
 from repro.campaign.jobstore import DB_NAME
@@ -52,7 +50,7 @@ def store(tmp_path):
 
 
 class TestLedgerContractParity:
-    """Identical record histories fold identically on both backends."""
+    """The store's fold is the journal fold of its records."""
 
     HISTORY = [
         {"key": "k1", "status": "running", "attempt": 1, "worker": "w1"},
@@ -63,23 +61,21 @@ class TestLedgerContractParity:
         {"key": "k2", "status": "running", "attempt": 1, "worker": "w1"},
     ]
 
-    def test_fold_matches_jsonl(self, tmp_path):
-        ledger = Ledger(tmp_path / "ledger.jsonl")
+    def test_fold_matches_fold_records(self, tmp_path):
         # lease=0 so the running record's executor-granted lease is born
         # expired: this compares pure journal-fold semantics, without the
-        # sqlite fold's live-lease overlay (tested separately below).
+        # store's live-lease overlay (tested separately below).
         store = SqliteJobStore(tmp_path / DB_NAME, lease=0.0)
         for record in self.HISTORY:
-            ledger.append(dict(record))
             store.append(dict(record))
-        jsonl_fold = ledger.fold()
-        sqlite_fold = store.fold()
-        assert set(jsonl_fold) == set(sqlite_fold) == {"k1", "k2"}
-        for key in jsonl_fold:
-            assert jsonl_fold[key] == sqlite_fold[key]
-        assert sqlite_fold["k1"].status == "done"
-        assert sqlite_fold["k1"].attempts == 2
-        assert sqlite_fold["k1"].meta == {"policy": "padc"}
+        expected = fold_records(self.HISTORY)
+        folded = store.fold()
+        assert set(folded) == set(expected) == {"k1", "k2"}
+        for key in expected:
+            assert folded[key] == expected[key]
+        assert folded["k1"].status == "done"
+        assert folded["k1"].attempts == 2
+        assert folded["k1"].meta == {"policy": "padc"}
 
     def test_records_preserve_append_order(self, store):
         for record in self.HISTORY:
@@ -209,35 +205,6 @@ class TestClaims:
         assert store.unfinished() == 0
 
 
-class TestBackendResolution:
-    def test_default_is_jsonl(self, tmp_path):
-        assert resolve_backend(None, tmp_path) == "jsonl"
-        assert isinstance(make_store(tmp_path), Ledger)
-
-    def test_explicit_wins(self, tmp_path):
-        assert resolve_backend("sqlite", tmp_path) == "sqlite"
-        assert isinstance(make_store(tmp_path, "sqlite"), SqliteJobStore)
-
-    def test_env_knob(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_BACKEND", "sqlite")
-        assert resolve_backend(None, tmp_path) == "sqlite"
-
-    def test_existing_db_detected(self, tmp_path):
-        SqliteJobStore(tmp_path / DB_NAME).initialize()
-        assert resolve_backend(None, tmp_path) == "sqlite"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(JobStoreError) as excinfo:
-            resolve_backend("postgres", tmp_path)
-        assert "postgres" in str(excinfo.value)
-
-    def test_campaign_create_pins_backend_for_reopen(self, tmp_path):
-        campaign = Campaign.create(small_spec(), tmp_path / "c", backend="sqlite")
-        assert campaign.backend == "sqlite"
-        # A later open with no flag/env auto-detects the database.
-        assert Campaign.open(tmp_path / "c").backend == "sqlite"
-
-
 class TestConcurrentCreate:
     def test_racing_creators_same_spec_all_succeed(self, tmp_path):
         spec = small_spec()
@@ -268,67 +235,17 @@ class TestConcurrentCreate:
         assert "different spec" in str(excinfo.value)
 
 
-class TestLedgerMultiWriter:
-    def test_torn_trailing_line_then_append_recovers(self, tmp_path):
-        """A crash mid-append must not corrupt the *next* record too."""
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        ledger.append({"key": "k1", "status": "done"})
-        with open(ledger.path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "k2", "status": "don')  # torn, no newline
-        ledger.append({"key": "k3", "status": "done"})
-        keys = [record["key"] for record in ledger.records()]
-        assert keys == ["k1", "k3"]
-        assert ledger.fold()["k3"].status == "done"
-
-    def test_concurrent_appends_never_interleave(self, tmp_path):
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        per_writer = 50
-
-        def write(worker_index):
-            for i in range(per_writer):
-                ledger.append(
-                    {
-                        "key": f"w{worker_index}-{i}",
-                        "status": "done",
-                        "payload": "x" * 256,
-                    }
-                )
-
-        threads = [threading.Thread(target=write, args=(w,)) for w in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        records = ledger.records()
-        assert len(records) == 6 * per_writer  # nothing torn, nothing lost
-        assert len({record["key"] for record in records}) == 6 * per_writer
-
-    def test_fsync_knob_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_FSYNC", "1")
-        assert Ledger(tmp_path / "l.jsonl").fsync
-        monkeypatch.delenv("REPRO_LEDGER_FSYNC")
-        assert not Ledger(tmp_path / "l.jsonl").fsync
-        assert Ledger(tmp_path / "l.jsonl", fsync=True).fsync
-
-
 class TestWorkerLoop:
     def test_single_worker_drains_campaign(self, tmp_path):
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
-        campaign = Campaign.create(small_spec(), tmp_path / "c", backend="sqlite")
+        campaign = Campaign.create(small_spec(), tmp_path / "c")
         stats = run_worker(campaign, runtime=executor, worker_id="w1", poll=0.05)
         assert stats.done == 4 and stats.failed == 0
         assert campaign.status_counts()["done"] == 4
 
-    def test_jsonl_campaign_is_rejected(self, tmp_path):
-        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
-        campaign = Campaign.create(small_spec(), tmp_path / "c")  # jsonl
-        with pytest.raises(CampaignError) as excinfo:
-            run_worker(campaign, runtime=executor)
-        assert "sqlite" in str(excinfo.value)
-
     def test_two_workers_split_the_campaign(self, tmp_path):
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
-        campaign = Campaign.create(small_spec(), tmp_path / "c", backend="sqlite")
+        campaign = Campaign.create(small_spec(), tmp_path / "c")
         all_stats = []
 
         def work(worker_id):
@@ -355,7 +272,7 @@ class TestWorkerLoop:
 
     def test_should_stop_drains_gracefully(self, tmp_path):
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
-        campaign = Campaign.create(small_spec(), tmp_path / "c", backend="sqlite")
+        campaign = Campaign.create(small_spec(), tmp_path / "c")
         calls = []
 
         def stop_after_two():
@@ -382,7 +299,7 @@ class TestWorkerLoop:
         spec = CampaignSpec.build(
             "flaky", [["swim"]], ["padc"], 200, include_alone=False
         )
-        campaign = Campaign.create(spec, tmp_path / "c", backend="sqlite")
+        campaign = Campaign.create(spec, tmp_path / "c")
         real = sim.simulate
         attempts = []
 
@@ -402,45 +319,51 @@ class TestWorkerLoop:
         assert state.attempts == 2
 
 
+def serial_baseline(spec, tmp_path):
+    """(csv, json) export of a cold single-process CampaignRunner run."""
+    executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-serial"))
+    campaign = Campaign.create(spec, tmp_path / "serial")
+    CampaignRunner(campaign, runtime=executor).run()
+    return (
+        export(campaign, executor.store, fmt="csv"),
+        export(campaign, executor.store, fmt="json"),
+    )
+
+
 class TestExportEquality:
-    """The PR 3 guarantee survives the new backend: sqlite multi-worker
-    campaigns export byte-identical CSV/JSON to single-process JSONL."""
+    """However a campaign is driven — multi-worker, streamed, or with a
+    crashed worker's job reclaimed — it exports byte-identical CSV/JSON
+    to a single-process run."""
 
-    def _jsonl_baseline(self, spec, tmp_path):
-        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-jsonl"))
-        campaign = Campaign.create(spec, tmp_path / "jsonl")
-        CampaignRunner(campaign, runtime=executor).run()
-        return (
-            export(campaign, executor.store, fmt="csv"),
-            export(campaign, executor.store, fmt="json"),
-        )
-
-    def test_worker_export_matches_jsonl_runner(self, tmp_path):
+    def test_worker_export_matches_serial_runner(self, tmp_path):
         spec = small_spec(include_alone=True)
-        jsonl_csv, jsonl_json = self._jsonl_baseline(spec, tmp_path)
-        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-sqlite"))
-        campaign = Campaign.create(spec, tmp_path / "sqlite", backend="sqlite")
+        serial_csv, serial_json = serial_baseline(spec, tmp_path)
+        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-worker"))
+        campaign = Campaign.create(spec, tmp_path / "worker")
         run_worker(campaign, runtime=executor, worker_id="w1", poll=0.05)
-        assert export(campaign, executor.store, fmt="csv") == jsonl_csv
-        assert export(campaign, executor.store, fmt="json") == jsonl_json
+        assert export(campaign, executor.store, fmt="csv") == serial_csv
+        assert export(campaign, executor.store, fmt="json") == serial_json
 
-    def test_runner_on_sqlite_matches_jsonl(self, tmp_path):
-        """CampaignRunner itself also drives the sqlite backend."""
+    def test_streamed_runner_export_matches_serial_runner(self, tmp_path):
+        """A serial run that streams samples exports the same bytes."""
         spec = small_spec()
-        jsonl_csv, _ = self._jsonl_baseline(spec, tmp_path)
-        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-sqlite"))
-        campaign = Campaign.create(spec, tmp_path / "sqlite", backend="sqlite")
-        run = CampaignRunner(campaign, runtime=executor).run()
+        serial_csv, _ = serial_baseline(spec, tmp_path)
+        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-streamed"))
+        campaign = Campaign.create(spec, tmp_path / "streamed")
+        run = CampaignRunner(campaign, runtime=executor, stream=True).run()
         assert not run.incomplete()
-        assert export(campaign, executor.store, fmt="csv") == jsonl_csv
+        assert set(campaign.ledger.sample_counts()) == {
+            job.key for job in campaign.unique_jobs()
+        }
+        assert export(campaign, executor.store, fmt="csv") == serial_csv
 
-    def test_crash_reclaimed_export_matches_jsonl(self, tmp_path):
+    def test_crash_reclaimed_export_matches_serial_runner(self, tmp_path):
         """Kill a claim mid-flight (lease expiry), let a second worker
         reclaim it, and the export is still byte-identical."""
         spec = small_spec()
-        jsonl_csv, _ = self._jsonl_baseline(spec, tmp_path)
-        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-sqlite"))
-        campaign = Campaign.create(spec, tmp_path / "sqlite", backend="sqlite")
+        serial_csv, _ = serial_baseline(spec, tmp_path)
+        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-reclaimed"))
+        campaign = Campaign.create(spec, tmp_path / "reclaimed")
         store = campaign.ledger
         # Emulate the SIGKILL: a claim that never completes nor heartbeats.
         store.ensure_jobs(
@@ -452,14 +375,50 @@ class TestExportEquality:
         stats = run_worker(campaign, runtime=executor, worker_id="w2", poll=0.05)
         assert stats.done == 4  # includes the reclaimed job
         assert campaign.states()[doomed.key].attempts == 2
-        assert export(campaign, executor.store, fmt="csv") == jsonl_csv
+        assert export(campaign, executor.store, fmt="csv") == serial_csv
+
+
+class TestUpgradePath:
+    """A campaign directory written before the job store existed holds
+    ``campaign.json`` and a ``ledger.jsonl`` journal but no
+    ``jobs.sqlite``.  Rerunning its spec starts every job ``pending``;
+    with a warm result store each resolves as a hit."""
+
+    def test_pre_store_directory_resumes_from_result_store(self, tmp_path, monkeypatch):
+        spec = small_spec(include_alone=True)
+        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
+        api.campaign(spec, directory=tmp_path / "warm", runtime=executor)
+        expected = export(Campaign.open(tmp_path / "warm"), executor.store)
+
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "campaign.json").write_text((tmp_path / "warm" / "campaign.json").read_text())
+        with open(old / "ledger.jsonl", "w", encoding="utf-8") as handle:
+            for job in Campaign.open(old).unique_jobs():
+                for status in ("running", "done"):
+                    record = {"key": job.key, "status": status, "attempt": 1}
+                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+        calls = []
+        real = sim.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate", counting)
+        run = api.campaign(spec, directory=old, runtime=executor)
+        assert calls == []  # every job was a result-store hit
+        assert all(state.cached for state in run.states.values())
+        assert (old / DB_NAME).is_file()
+        assert export(run.campaign, executor.store) == expected
 
 
 @pytest.mark.slow
 class TestSigkillWorkerSubprocess:
     """The acceptance scenario end-to-end: a real worker process is
     SIGKILL'd mid-job; a second worker reclaims and finishes; the export
-    is byte-identical to a single-process JSONL run."""
+    is byte-identical to a single-process run."""
 
     def test_kill9_worker_loses_nothing(self, tmp_path):
         spec = small_spec(name="kill9")
@@ -470,13 +429,11 @@ class TestSigkillWorkerSubprocess:
 
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        env.pop("REPRO_CAMPAIGN_BACKEND", None)
 
         create = subprocess.run(
             [
                 sys.executable, "-m", "repro.campaign", "create",
                 "--spec", str(spec_file), "--dir", str(campaign_dir),
-                "--backend", "sqlite",
             ],
             env=env, capture_output=True, text=True, timeout=60,
         )
@@ -524,7 +481,7 @@ class TestSigkillWorkerSubprocess:
         assert states[claimed["key"]].attempts == 2  # doomed's try + rescue
         assert states[claimed["key"]].worker == "rescuer"
 
-        # Byte-identical to the single-process JSONL baseline.
+        # Byte-identical to the single-process baseline.
         clean_rt = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache2"))
         clean = Campaign.create(spec, tmp_path / "clean")
         CampaignRunner(clean, runtime=clean_rt).run()

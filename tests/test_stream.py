@@ -1,6 +1,6 @@
 """Live telemetry streaming (DESIGN.md §14): the record contract, the
-byte-identical fold, cache-neutrality, sample persistence on both
-campaign backends, torn-stream reclaim, and the ``api.Campaign`` handle
+byte-identical fold, cache-neutrality, sample persistence in the
+campaign job store, torn-stream reclaim, and the ``api.Campaign`` handle
 the whole surface hangs off.
 """
 
@@ -12,7 +12,7 @@ from tests.conftest import tiny_system_config
 from repro import api
 from repro.campaign import Campaign, CampaignRunner, CampaignSpec, run_worker
 from repro.campaign.executor import CampaignError
-from repro.campaign.jobstore import make_store
+from repro.campaign.jobstore import DB_NAME, SqliteJobStore
 from repro.params import BACKENDS
 from repro.telemetry import TelemetryCollector
 from repro.telemetry.stream import (
@@ -140,8 +140,7 @@ def test_streamed_execute_is_cache_neutral(tmp_path):
     from repro.runtime import SimJob, execute_job
 
     job = SimJob.make(tiny_system_config(), ["swim"], 400, seed=1)
-    store = make_store(tmp_path, "sqlite")
-    store.initialize()
+    store = SqliteJobStore(tmp_path / DB_NAME)
     plain = execute_job(job)
     streamed = streamed_execute(job, store, "some-key")
     assert streamed.trace is None
@@ -159,22 +158,19 @@ def test_streamed_execute_keeps_requested_trace(tmp_path):
     from repro.runtime import SimJob
 
     job = SimJob.make(tiny_system_config(), ["swim"], 400, seed=1, telemetry=True)
-    store = make_store(tmp_path, "sqlite")
-    store.initialize()
+    store = SqliteJobStore(tmp_path / DB_NAME)
     result = streamed_execute(job, store, "k")
     assert result.trace is not None
     assert _canon(fold_samples(store.samples("k"))) == _canon(result.trace)
 
 
-# -- sample persistence: both backends -----------------------------------------
+# -- sample persistence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-def test_sample_store_surface(tmp_path, backend):
-    """append/samples/samples_since/sample_counts/clear agree across the
-    sqlite table and the jsonl sidecar."""
-    sink = make_store(tmp_path, backend)
-    sink.initialize()
+def test_sample_store_surface(tmp_path):
+    """append/samples/samples_since/sample_counts/clear over the job
+    store's samples table."""
+    sink = SqliteJobStore(tmp_path / DB_NAME)
     records, _ = _streamed_run(accesses=400, num_cores=1)
     sink.append_samples("a", records[:2])
     sink.append_samples("a", records[2:])
@@ -204,20 +200,18 @@ def test_sample_store_surface(tmp_path, backend):
     assert sink.samples("b") == records  # other streams untouched
 
 
-def test_ledger_clear_drops_samples_sidecar(tmp_path):
-    ledger = make_store(tmp_path, "jsonl")
-    ledger.initialize()
-    ledger.append_samples("k", [{"type": "header"}])
-    assert ledger.sample_counts() == {"k": 1}
-    ledger.clear()
-    assert ledger.sample_counts() == {}
+def test_store_clear_drops_samples(tmp_path):
+    store = SqliteJobStore(tmp_path / DB_NAME)
+    store.append_samples("k", [{"type": "header"}])
+    assert store.sample_counts() == {"k": 1}
+    store.clear()
+    assert store.sample_counts() == {}
 
 
 def test_reclaim_clears_torn_stream(tmp_path):
     """A dead worker's partial stream vanishes when its job is reclaimed:
     the claim transaction deletes the key's samples."""
-    store = make_store(tmp_path, "sqlite")
-    store.initialize()
+    store = SqliteJobStore(tmp_path / DB_NAME)
     store.ensure_jobs([("job-1", None)])
     claim = store.claim("worker-a", lease=0.01)
     assert claim.key == "job-1"
@@ -241,7 +235,7 @@ def test_worker_stream_lands_samples_and_export_is_unchanged(tmp_path):
         jobs=1, cache_dir=str(tmp_path / "cache-streamed")
     )
     spec = small_spec()
-    streamed = Campaign.create(spec, tmp_path / "streamed", backend="sqlite")
+    streamed = Campaign.create(spec, tmp_path / "streamed")
     run_worker(streamed, runtime=runtime, stream=True, lease=30.0)
     store = streamed.ledger
     counts = store.sample_counts()
@@ -253,7 +247,7 @@ def test_worker_stream_lands_samples_and_export_is_unchanged(tmp_path):
     from repro import runtime as runtime_mod
 
     plain_runtime = runtime_mod.configure(jobs=1, cache_dir=str(tmp_path / "cache-plain"))
-    plain = Campaign.create(spec, tmp_path / "plain", backend="sqlite")
+    plain = Campaign.create(spec, tmp_path / "plain")
     run_worker(plain, runtime=plain_runtime, lease=30.0)
     plain_export = api.campaign_open(tmp_path / "plain").export(fmt="csv")
     assert streamed_export == plain_export
@@ -268,23 +262,14 @@ def test_worker_stream_synthesizes_cache_hits(tmp_path):
     spec = CampaignSpec.build(
         "warm", [["swim"]], ["padc"], 300, include_alone=False, telemetry=True
     )
-    first = Campaign.create(spec, tmp_path / "first", backend="sqlite")
+    first = Campaign.create(spec, tmp_path / "first")
     run_worker(first, runtime=runtime, lease=30.0)
     assert first.ledger.sample_counts() == {}  # no --stream: nothing landed
-    second = Campaign.create(spec, tmp_path / "second", backend="sqlite")
+    second = Campaign.create(spec, tmp_path / "second")
     stats = run_worker(second, runtime=runtime, stream=True, lease=30.0)
     assert stats.cache_hits == len(second.unique_jobs())
     for job in second.unique_jobs():
         assert fold_samples(second.ledger.samples(job.key)).num_intervals >= 1
-
-
-def test_serial_runner_streams_into_jsonl_sidecar(tmp_path):
-    campaign = Campaign.create(small_spec(), tmp_path / "c", backend="jsonl")
-    run = CampaignRunner(campaign, stream=True).run()
-    assert not run.incomplete()
-    counts = campaign.ledger.sample_counts()
-    assert set(counts) == {job.key for job in campaign.unique_jobs()}
-    assert (tmp_path / "c" / "samples.jsonl").is_file()
 
 
 def test_parallel_runner_rejects_streaming(tmp_path, monkeypatch):
@@ -300,9 +285,7 @@ def test_parallel_runner_rejects_streaming(tmp_path, monkeypatch):
 
 
 def _run_streamed_campaign(tmp_path):
-    handle = api.Campaign.create(
-        small_spec(), directory=tmp_path / "c", backend="sqlite"
-    )
+    handle = api.Campaign.create(small_spec(), directory=tmp_path / "c")
     run_worker(handle.inner, stream=True, lease=30.0)
     return handle
 
@@ -310,7 +293,6 @@ def _run_streamed_campaign(tmp_path):
 def test_handle_identity_and_status(tmp_path):
     handle = _run_streamed_campaign(tmp_path)
     assert handle.name == "stream"
-    assert handle.backend == "sqlite"
     status = handle.status()
     assert status["complete"] is True
     assert status["counts"]["done"] == len(handle.unique_jobs())
@@ -353,18 +335,3 @@ def test_handle_fold_trace_and_metrics(tmp_path):
     assert len(pressure["per_job"]) == len(handle.unique_jobs())
     # JSON-serializable end to end (the service contract).
     json.dumps(metrics, sort_keys=True)
-
-
-def test_legacy_campaign_functions_warn_but_work(tmp_path):
-    spec = small_spec()
-    with pytest.warns(DeprecationWarning, match="campaign_create"):
-        created = api.campaign_create(
-            spec, directory=tmp_path / "c", backend="sqlite"
-        )
-    run_worker(created, lease=30.0)
-    with pytest.warns(DeprecationWarning, match="campaign_open"):
-        status = api.campaign_status(tmp_path / "c")
-    assert status["complete"] is True
-    with pytest.warns(DeprecationWarning, match="campaign_open"):
-        text = api.campaign_export(tmp_path / "c", fmt="csv")
-    assert text == api.campaign_open(tmp_path / "c").export(fmt="csv")

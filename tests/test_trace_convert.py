@@ -1,11 +1,11 @@
 """Converters: ChampSim / gem5 / legacy-text dumps into ``.rtr`` traces."""
 
+import gzip
 from pathlib import Path
 
 import pytest
 
 from repro.core.trace import TraceEntry
-from repro.core.tracefile import save_trace
 from repro.trace.convert import (
     ConvertError,
     convert,
@@ -150,7 +150,11 @@ def test_repro_text_round_trip(tmp_path):
         TraceEntry(7, 0x900, 0x20, False),
     ]
     legacy = tmp_path / "t.trace.gz"
-    save_trace(iter(entries), legacy)
+    with gzip.open(legacy, "wt") as handle:
+        handle.write("# repro-trace v1\n")
+        for entry in entries:
+            flag = " W" if entry.is_write else ""
+            handle.write(f"{entry.gap} {entry.line_addr} {entry.pc}{flag}\n")
     out = tmp_path / "t.rtr"
     header = convert(legacy, out, "repro-text")
     assert header.entries == 3
