@@ -1,25 +1,24 @@
-"""Phase-attributed profiling for the macrobench (DESIGN.md §15).
+"""Phase-attributed profiling of the macrobench mix (DESIGN.md §15).
 
-The tick-loop timer answers "how much of the run is the scheduling
-round?", but the front-end optimization work needs the complement broken
-down further: of the time spent *outside* the controller, how much goes
-to workload generation, to the core+cache model, to the prefetchers, to
+Of the time a simulation spends, how much goes to workload generation,
+to the core+cache model, to the prefetchers, to the DRAM controller, to
 telemetry?  :func:`run_phases` answers that with one deterministic
-cProfile pass over the campaign-preset macrobench:
+cProfile pass over the campaign-preset mix (:data:`repro.bench.MACRO_MIX`):
 
 * every profiled function's **self time** (cProfile ``tottime``) is
   attributed to exactly one bucket by its defining module's path, so the
   buckets partition the profiled time — they sum to ``profiled_s``
   exactly, with no double counting;
-* the bucket names are a stable, versioned contract
-  (:data:`PHASE_BUCKETS`) — the report schema, the CLI table and the
-  regression tests all key on them;
+* the bucket names are a stable contract (:data:`PHASE_BUCKETS`) — the
+  CLI table, the CI grep and the tests all key on them;
 * wall time is measured with ``perf_counter_ns`` around the profiled
   run.  cProfile's per-call hook inflates wall time substantially (the
   simulator makes tens of millions of calls), so ``wall_s`` here is NOT
-  comparable to the untimed macrobench wall — use the **shares**, which
-  divide out the overhead, and the plain macrobench ``wall_s`` for
-  absolute speed.
+  an absolute speed — use the **shares**, which divide out the overhead,
+  and ``python3 perfbench/run.py`` for throughput.
+
+The run builds its ``System`` without a backend, so ``$REPRO_BACKEND``
+picks the simulation loop; the entry reports the one that ran.
 
 Bucket map (module path → bucket):
 
@@ -44,10 +43,13 @@ from __future__ import annotations
 import cProfile
 import pstats
 from time import perf_counter_ns
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
+
+from repro.bench import MACRO_MIX, MACRO_SEED, SCALES, _macro_config
+from repro.sim.system import System
 
 # The stable bucket contract.  Order is presentation order; tests pin
-# the exact tuple, so adding/renaming a bucket is a schema change.
+# the exact tuple, so adding/renaming a bucket changes the contract.
 PHASE_BUCKETS = (
     "workload",
     "core_cache",
@@ -92,32 +94,14 @@ def classify(filename: str, funcname: str = "") -> str:
     return "other"
 
 
-def run_phases(
-    policy: str,
-    scale: str,
-    backend: str = "event",
-    *,
-    seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """Profile one macrobench run; return the phase-attributed breakdown.
-
-    The simulated run is identical to :func:`repro.bench.run_macro`
-    (same config, mix, seed and access count), so the attribution
-    describes exactly the workload the bench report measures.
-    """
-    from repro.bench import MACRO_SEED, SCALES, _macro_config, MACRO_MIX
-    from repro.sim.system import System
-
-    if seed is None:
-        seed = MACRO_SEED
-    sizing = SCALES[scale]
-    system = System(
-        _macro_config(policy), list(MACRO_MIX), seed=seed, backend=backend
-    )
+def run_phases(policy: str, scale: str) -> Dict[str, object]:
+    """Profile one run of the macrobench mix; return its phase breakdown."""
+    accesses = SCALES[scale]
+    system = System(_macro_config(policy), list(MACRO_MIX), seed=MACRO_SEED)
     profiler = cProfile.Profile()
     start = perf_counter_ns()
     profiler.enable()
-    result = system.run(sizing.macro_accesses)
+    result = system.run(accesses)
     profiler.disable()
     wall_s = (perf_counter_ns() - start) / 1e9
     stats = pstats.Stats(profiler)
@@ -133,9 +117,9 @@ def run_phases(
     return {
         "policy": policy,
         "scale": scale,
-        "backend": backend,
-        "seed": seed,
-        "accesses_per_core": sizing.macro_accesses,
+        "backend": system.backend,
+        "seed": MACRO_SEED,
+        "accesses_per_core": accesses,
         "cycles": result.total_cycles,
         "wall_s": round(wall_s, 6),
         "profiled_s": round(profiled_s, 6),

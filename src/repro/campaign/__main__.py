@@ -244,7 +244,9 @@ def _load_spec(args) -> CampaignSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     # Accept both a bare spec and a campaign.json-style snapshot.
-    return CampaignSpec.from_dict(payload.get("spec", payload))
+    if isinstance(payload, dict):
+        payload = payload.get("spec", payload)
+    return CampaignSpec.from_dict(payload)
 
 
 def _finish_run(campaign: Campaign, run) -> int:

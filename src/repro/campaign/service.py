@@ -14,8 +14,9 @@ Endpoints (all JSON unless noted):
   status histogram.
 * ``POST /campaigns`` — body is a :class:`CampaignSpec` dict with an
   optional ``"directory"``, or the envelope ``{"spec": {...},
-  "directory": "..."}``; any other key is a 400 naming it.  Creates the
-  campaign directory, enqueues the expansion, and returns its id.
+  "directory": "..."}``; any other key, or a field of the wrong JSON
+  type, is a 400 naming it.  Creates the campaign directory, enqueues
+  the expansion, and returns its id.
   Re-POSTing an identical spec is idempotent; a different spec for the
   same directory is a 409.
 * ``GET  /campaigns/<id>/status`` — status counts + human summary.
@@ -47,7 +48,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaign.executor import SPEC_FILE, CampaignError, campaigns_root
-from repro.campaign.spec import SpecError
+from repro.campaign.spec import SpecError, _typed
 
 DEFAULT_PORT = 8642
 
@@ -129,10 +130,11 @@ class CampaignService:
         else:
             # A bare spec: CampaignSpec.from_dict rejects unknown fields.
             spec = {key: value for key, value in payload.items() if key != "directory"}
-        directory = None
-        if isinstance(payload.get("directory"), str):
-            directory = self.root / _campaign_id(payload["directory"])
         try:
+            directory = None
+            if "directory" in payload:
+                name = _typed(payload["directory"], "directory", "string")
+                directory = self.root / _campaign_id(name)
             campaign = api.Campaign.create(spec, directory=directory, root=self.root)
         except SpecError as error:
             raise ServiceError(400, str(error)) from error
@@ -210,7 +212,14 @@ class _Handler(BaseHTTPRequestHandler):
                    "application/json")
 
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            self.close_connection = True  # the body's end is unknown
+            raise ServiceError(
+                400, f"Content-Length must be an integer, got {raw_length!r}"
+            ) from None
         if length <= 0:
             raise ServiceError(400, "request body required")
         if length > MAX_BODY_BYTES:

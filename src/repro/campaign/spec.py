@@ -92,6 +92,53 @@ def _as_override_tuple(overrides) -> Tuple[Tuple[str, object], ...]:
     return tuple((str(key), value) for key, value in overrides)
 
 
+def _json_type(value) -> str:
+    """The JSON type name of ``value`` (a Python tuple counts as an array)."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, Mapping):
+        return "object"
+    if isinstance(value, (list, tuple)):
+        return "array"
+    return type(value).__name__
+
+
+def _typed(value, path: str, *types: str):
+    """``value`` if its JSON type is one of ``types``, else a SpecError
+    naming ``path`` and the type it got."""
+    got = _json_type(value)
+    if got not in types:
+        raise SpecError(f"{path}: expected {' or '.join(types)}, got {got}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _field(mapping: Mapping, key: str, where: str, *types: str, default=_REQUIRED):
+    """``mapping[key]`` checked by :func:`_typed`, or ``default`` when absent."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise SpecError(f"{where} is missing required field {key!r}")
+        return default
+    return _typed(mapping[key], f"{where}.{key}" if where else key, *types)
+
+
+def _strings(value, path: str) -> Tuple[str, ...]:
+    return tuple(
+        _typed(item, f"{path}[{index}]", "string")
+        for index, item in enumerate(_typed(value, path, "array"))
+    )
+
+
 @dataclass(frozen=True)
 class Workload:
     """One multiprogrammed mix: benchmark names plus its base seed."""
@@ -275,6 +322,14 @@ class CampaignSpec:
             raise SpecError("a campaign needs at least one seed offset")
         if len(set(self.seeds)) != len(self.seeds):
             raise SpecError(f"duplicate seed offsets: {list(self.seeds)}")
+        for index, workload in enumerate(self.workloads):
+            for offset in self.seeds:
+                if workload.seed + offset < 0:
+                    raise SpecError(
+                        f"workload {index} (seed {workload.seed}) with seed offset "
+                        f"{offset} gives simulation seed {workload.seed + offset}; "
+                        "simulation seeds must be >= 0"
+                    )
         try:
             resolve_policy(self.alone_policy)
         except PolicyError as error:
@@ -322,8 +377,14 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CampaignSpec":
         """Inverse of :meth:`to_dict`; also accepts the hand-written
-        shorthand (plain benchmark lists, bare policy names).  Unknown
-        top-level fields are rejected with a did-you-mean."""
+        shorthand (plain benchmark lists, bare policy names).
+
+        This is the JSON input edge, so nothing is coerced: unknown
+        top-level fields are rejected with a did-you-mean, and a field of
+        the wrong JSON type (``"accesses": "abc"``, ``"include_alone":
+        "false"``) is a :class:`SpecError` naming its path and the type
+        it got.  :meth:`build` keeps its coercion for Python callers.
+        """
         if not isinstance(payload, Mapping):
             raise SpecError(
                 f"a campaign spec must be a JSON object, got {type(payload).__name__}"
@@ -334,57 +395,75 @@ class CampaignSpec:
                     f"unknown spec field {key!r}{_suggest(str(key), SPEC_FIELDS)}; "
                     f"known fields: {', '.join(SPEC_FIELDS)}"
                 )
-        try:
-            version = int(payload.get("spec_version", SPEC_VERSION))
-            if version != SPEC_VERSION:
+        for key in ("name", "accesses", "workloads", "policies"):
+            if key not in payload:
                 raise SpecError(
-                    f"unsupported spec_version {version}; this build reads "
-                    f"version {SPEC_VERSION}"
+                    f"spec payload is missing required field {key!r}; required: "
+                    "name, accesses, workloads, policies"
                 )
-            workloads = []
-            for index, entry in enumerate(payload["workloads"]):
-                if isinstance(entry, Mapping):
-                    workloads.append(
-                        Workload.make(entry["benchmarks"], seed=entry.get("seed", index))
-                    )
-                else:
-                    workloads.append(Workload.make(entry, seed=index))
-            policies = []
-            for entry in payload["policies"]:
-                if isinstance(entry, Mapping):
-                    policies.append(
-                        PolicyVariant.make(
-                            entry["label"],
-                            entry.get("policy"),
-                            **entry.get("overrides", {}),
-                        )
-                    )
-                else:
-                    policies.append(PolicyVariant.make(entry))
-            raw_variants = payload.get("variants", [{"label": "base", "overrides": {}}])
-            if isinstance(raw_variants, Mapping):
-                variants = {str(k): v for k, v in raw_variants.items()}
-            else:
-                variants = {
-                    str(entry["label"]): entry.get("overrides", {})
-                    for entry in raw_variants
-                }
-            return cls.build(
-                name=payload["name"],
-                workloads=workloads,
-                policies=policies,
-                accesses=payload["accesses"],
-                variants=variants,
-                seeds=payload.get("seeds", (0,)),
-                include_alone=payload.get("include_alone", True),
-                alone_policy=payload.get("alone_policy", "demand-first"),
-                **payload.get("sim_kwargs", {}),
-            )
-        except KeyError as missing:
+        version = _field(payload, "spec_version", "", "integer", default=SPEC_VERSION)
+        if version != SPEC_VERSION:
             raise SpecError(
-                f"spec payload is missing required field {missing}; required: "
-                "name, accesses, workloads, policies"
-            ) from None
+                f"unsupported spec_version {version}; this build reads "
+                f"version {SPEC_VERSION}"
+            )
+        workloads = []
+        for index, entry in enumerate(_field(payload, "workloads", "", "array")):
+            path = f"workloads[{index}]"
+            if isinstance(_typed(entry, path, "array", "object"), Mapping):
+                benchmarks = _strings(
+                    _field(entry, "benchmarks", path, "array"), f"{path}.benchmarks"
+                )
+                seed = _field(entry, "seed", path, "integer", default=index)
+            else:
+                benchmarks, seed = _strings(entry, path), index
+            workloads.append(Workload(benchmarks, seed))
+        policies = []
+        for index, entry in enumerate(_field(payload, "policies", "", "array")):
+            path = f"policies[{index}]"
+            if isinstance(_typed(entry, path, "string", "object"), str):
+                policies.append(PolicyVariant(entry, entry))
+                continue
+            label = _field(entry, "label", path, "string")
+            policy = _field(entry, "policy", path, "string", default=label)
+            overrides = _field(entry, "overrides", path, "object", default={})
+            policies.append(PolicyVariant(label, policy, _as_override_tuple(overrides)))
+        raw_variants = _field(
+            payload, "variants", "", "array", "object", default=[{"label": "base"}]
+        )
+        if isinstance(raw_variants, Mapping):
+            variants = [
+                (label, _typed(overrides, f"variants.{label}", "object"))
+                for label, overrides in raw_variants.items()
+            ]
+        else:
+            variants = []
+            for index, entry in enumerate(raw_variants):
+                path = f"variants[{index}]"
+                _typed(entry, path, "object")
+                label = _field(entry, "label", path, "string")
+                overrides = _field(entry, "overrides", path, "object", default={})
+                variants.append((label, overrides))
+        seeds = _field(payload, "seeds", "", "array", default=[0])
+        sim_kwargs = _field(payload, "sim_kwargs", "", "object", default={})
+        return cls(
+            name=_field(payload, "name", "", "string"),
+            workloads=tuple(workloads),
+            policies=tuple(policies),
+            accesses=_field(payload, "accesses", "", "integer"),
+            variants=tuple(
+                (label, _as_override_tuple(overrides)) for label, overrides in variants
+            ),
+            seeds=tuple(
+                _typed(seed, f"seeds[{index}]", "integer")
+                for index, seed in enumerate(seeds)
+            ),
+            include_alone=_field(payload, "include_alone", "", "boolean", default=True),
+            alone_policy=_field(
+                payload, "alone_policy", "", "string", default="demand-first"
+            ),
+            sim_kwargs=tuple(sorted(sim_kwargs.items())),
+        )
 
 
 # -- expansion ----------------------------------------------------------------

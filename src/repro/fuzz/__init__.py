@@ -6,7 +6,9 @@ sequence number the reference heap loop would have), but the proof
 lives in code review; this module is the executable counterpart.  It draws random simulation
 cases — random synthetic workload profiles × scheduling policy ×
 system-config knobs × seed — from a seeded RNG, runs every backend on
-each case, and asserts byte-identical ``SimResult.to_dict()`` outputs.
+each case in checked mode (the invariant checker of
+:mod:`repro.validate.checker` audits every interval and the end of the
+run), and asserts byte-identical ``SimResult.to_dict()`` outputs.
 
 A divergence is *shrunk* before it is reported: the shrinker greedily
 applies reductions (fewer accesses, fewer cores, default knobs, simpler
@@ -14,7 +16,8 @@ policy/prefetcher) while the case still diverges, so the repro handed to
 a human is the smallest configuration this shrinker can reach, not the
 original 4-core kitchen-sink draw.  A backend crash counts as a
 divergence — a case that makes one backend raise while another finishes
-is exactly as broken as a mismatch.
+is exactly as broken as a mismatch — and so does an
+``InvariantViolation``, which the checker raises as a crash.
 
 Every case is fully determined by its integer ``case_seed``, so a failure
 report is reproducible with ``python -m repro.fuzz --case <seed>``.
@@ -189,15 +192,20 @@ def run_case(
     """Run every backend on the case; return the backends that diverged.
 
     Divergence is measured against the first backend in ``backends``
-    (byte-inequality of ``SimResult.to_dict()``).  Exceptions propagate —
-    callers that want crash-as-divergence semantics (the shrinker, the
-    sweep) wrap this call.
+    (byte-inequality of ``SimResult.to_dict()``).  Every run is checked,
+    so a broken invariant raises ``InvariantViolation``.  Exceptions
+    propagate — callers that want crash-as-divergence semantics (the
+    shrinker, the sweep) wrap this call.
     """
     golden = None
     diverged: List[str] = []
     for backend in backends:
         system = System(
-            build_config(case), list(case.profiles), seed=case.sim_seed, backend=backend
+            build_config(case),
+            list(case.profiles),
+            seed=case.sim_seed,
+            backend=backend,
+            check=True,
         )
         output = system.run(case.accesses_per_core).to_dict()
         if golden is None:

@@ -1,8 +1,9 @@
 """Differential fuzzer CLI: ``python -m repro.fuzz``.
 
 Sweeps seeded random cases (workload profiles × policy × config × seed)
-over both simulation backends and fails loudly — with a shrunk minimal
-repro — on any byte divergence between their ``SimResult`` outputs.
+over both simulation backends in checked mode and fails loudly — with a
+shrunk minimal repro — on any byte divergence between their
+``SimResult`` outputs or any invariant violation.
 
 Examples::
 

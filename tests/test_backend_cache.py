@@ -18,7 +18,6 @@ import pytest
 import repro.runtime.store as store_module
 from repro import api
 from repro.api import _make_job, submit
-from repro.bench.__main__ import main as bench_main
 from repro.params import BACKENDS, BackendError, SystemConfig, baseline_config
 from repro.sim.system import System
 from repro.runtime import CACHE_VERSION, Runtime, cache_key
@@ -116,26 +115,18 @@ class TestCrossBackendCacheSharing:
 RETIRED_BACKEND = "optimized"
 
 
-@pytest.mark.parametrize("surface", ["simulate", "System", "env", "bench-cli"])
-def test_retired_backend_name_fails_listing_the_choices(
-    surface, monkeypatch, capsys
-):
+@pytest.mark.parametrize("surface", ["simulate", "System", "env"])
+def test_retired_backend_name_fails_listing_the_choices(surface, monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     config = _config()
-    if surface == "bench-cli":
-        with pytest.raises(SystemExit) as excinfo:
-            bench_main(["--phase-backend", RETIRED_BACKEND])
-        assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-    else:
-        with pytest.raises(BackendError) as excinfo:
-            if surface == "simulate":
-                api.simulate(config, MIX, 50, backend=RETIRED_BACKEND)
-            elif surface == "System":
-                System(config, MIX, backend=RETIRED_BACKEND)
-            else:
-                monkeypatch.setenv("REPRO_BACKEND", RETIRED_BACKEND)
-                System(config, MIX)
-        message = str(excinfo.value)
+    with pytest.raises(BackendError) as excinfo:
+        if surface == "simulate":
+            api.simulate(config, MIX, 50, backend=RETIRED_BACKEND)
+        elif surface == "System":
+            System(config, MIX, backend=RETIRED_BACKEND)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", RETIRED_BACKEND)
+            System(config, MIX)
+    message = str(excinfo.value)
     assert repr(RETIRED_BACKEND) in message
     assert re.search(r"event'?, '?reference", message), message

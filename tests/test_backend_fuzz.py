@@ -62,6 +62,18 @@ class TestDifferential:
     def test_run_case_returns_divergent_backends(self):
         assert run_case(random_case(3)) == []
 
+    def test_invariant_violation_is_a_failure(self, monkeypatch):
+        from repro.validate.checker import InvariantChecker, InvariantViolation
+
+        def violated(checker, now):
+            raise InvariantViolation(f"planted at cycle {now}")
+
+        # The suite defaults REPRO_CHECK to 1; the CI sweep runs without it.
+        monkeypatch.setenv("REPRO_CHECK", "0")
+        monkeypatch.setattr(InvariantChecker, "on_end", violated)
+        (failure,) = run_fuzz(1, shrink_failures=False)["failures"]
+        assert failure["crash"].startswith("InvariantViolation: planted")
+
 
 class TestShrinker:
     def test_shrink_preserves_failure_predicate(self):

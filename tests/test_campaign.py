@@ -11,6 +11,8 @@ bit-for-bit equal to an uninterrupted run.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import runtime, sim
 from repro.campaign import (
@@ -151,6 +153,115 @@ class TestSpecValidation:
             message = str(excinfo.value)
             assert repr(typo) in message
             assert f"did you mean {intended}" in message
+
+
+# A valid spec dict in the full to_dict form, with every optional field.
+VALID_SPEC = small_spec(include_alone=True, seeds=(0, 1)).to_dict()
+
+
+def _paths(value, prefix=()):
+    """Every key/index path inside a JSON value."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for step, child in children:
+        yield prefix + (step,)
+        yield from _paths(child, prefix + (step,))
+
+
+def _replaced(path, value):
+    """A copy of VALID_SPEC with the value at ``path`` replaced."""
+    spec = json.loads(json.dumps(VALID_SPEC))
+    target = spec
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return spec
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestSpecJsonTypes:
+    """from_dict is the JSON edge: a wrong type is a SpecError, never a
+    crash and never a silent coercion."""
+
+    @pytest.mark.parametrize(
+        "path,value,expected",
+        [
+            (("accesses",), "abc", "integer, got string"),
+            (("accesses",), 1.9, "integer, got number"),
+            (("accesses",), True, "integer, got boolean"),
+            (("workloads",), 5, "array, got integer"),
+            (("include_alone",), "false", "boolean, got string"),
+            (("name",), 5, "string, got integer"),
+            (("spec_version",), "1", "integer, got string"),
+            (("alone_policy",), ["padc"], "string, got array"),
+            (("sim_kwargs",), [], "object, got array"),
+            (("seeds", 1), 1.0, "integer, got number"),
+            (("variants",), "base", "array or object, got string"),
+            (("variants", 0, "overrides"), 5, "object, got integer"),
+            (("workloads", 0), 5, "array or object, got integer"),
+            (("workloads", 0, "seed"), "3", "integer, got string"),
+            (("workloads", 0, "seed"), False, "integer, got boolean"),
+            (("workloads", 0, "benchmarks", 1), 7, "string, got integer"),
+            (("policies", 0), 5, "string or object, got integer"),
+            (("policies", 1, "label"), None, "string, got null"),
+            (("policies", 1, "policy"), 2, "string, got integer"),
+            (("policies", 1, "overrides"), [], "object, got array"),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, path, value, expected):
+        # The message names the field's path: workloads[0].benchmarks[1].
+        where = path[0] + "".join(
+            f"[{step}]" if isinstance(step, int) else f".{step}" for step in path[1:]
+        )
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(_replaced(path, value))
+        assert str(excinfo.value) == f"{where}: expected {expected}"
+
+    def test_variants_object_form_names_the_label(self):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(_replaced(("variants",), {"dual": 2}))
+        assert str(excinfo.value) == "variants.dual: expected object, got integer"
+
+    @given(path=st.sampled_from(list(_paths(VALID_SPEC))), value=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_one_field_gives_a_spec_or_a_spec_error(self, path, value):
+        try:
+            CampaignSpec.from_dict(_replaced(path, value))
+        except SpecError:
+            pass
+
+    def test_negative_simulation_seed_rejected(self):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(
+                {
+                    "name": "neg",
+                    "accesses": 200,
+                    "workloads": [{"benchmarks": ["swim_00"], "seed": -3}],
+                    "policies": ["padc"],
+                }
+            )
+        assert "workload 0 (seed -3) with seed offset 0" in str(excinfo.value)
+        # build reaches the same check, through a negative seed offset.
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.build(
+                "neg", [Workload.make(["swim"], seed=1)], POLICIES, 100, seeds=(0, -2)
+            )
+        assert "workload 0 (seed 1) with seed offset -2" in str(excinfo.value)
 
 
 class TestExpansion:
@@ -483,6 +594,29 @@ class TestCLI:
         bad.write_text('{"name": "x"}')
         assert campaign_main(["run", "--spec", str(bad)]) == 2
         assert "missing required field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"accesses": "abc"}, "accesses: expected integer, got string"),
+            ({"workloads": 5}, "workloads: expected array, got integer"),
+            (["not", "a", "spec"], "a campaign spec must be a JSON object"),
+        ],
+    )
+    def test_create_with_wrong_type_is_usage_error(
+        self, tmp_path, capsys, payload, message
+    ):
+        spec_file = self._spec_file(tmp_path)
+        if isinstance(payload, dict):
+            payload = dict(json.loads(spec_file.read_text()), **payload)
+        spec_file.write_text(json.dumps(payload))
+        directory = tmp_path / "campaign"
+        code = campaign_main(
+            ["create", "--spec", str(spec_file), "--dir", str(directory)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not directory.exists()
 
     def test_smoke_preset_runs(self, tmp_path):
         directory = tmp_path / "campaign"

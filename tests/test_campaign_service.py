@@ -3,6 +3,7 @@ poll status, pull the deterministic export — plus input validation
 (bad bodies, unknown ids, traversal attempts).
 """
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -174,6 +175,42 @@ class TestServiceValidation:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=30)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("accesses", "abc", "accesses: expected integer, got string"),
+            ("workloads", 5, "workloads: expected array, got integer"),
+            ("directory", 5, "directory: expected string, got integer"),
+        ],
+    )
+    def test_wrong_json_type_is_400_naming_the_field(
+        self, server, tmp_path, field, value, message
+    ):
+        base, _ = server
+        payload = {"spec": small_spec_dict(), "directory": "typed"}
+        if field == "directory":
+            payload["directory"] = value
+        else:
+            payload["spec"][field] = value
+        status, body = request(f"{base}/campaigns", payload=payload, method="POST")
+        assert status == 400
+        assert body["error"] == message
+        assert not (tmp_path / "campaigns").exists()
+
+    def test_non_numeric_content_length_is_400(self, server):
+        base, _ = server
+        host, port = base.rsplit("/", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.putrequest("POST", "/campaigns")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders(json.dumps(small_spec_dict()).encode())
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
 
     def test_unknown_campaign_is_404(self, server):
         base, _ = server

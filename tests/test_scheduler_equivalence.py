@@ -8,15 +8,14 @@ that re-derives every priority each round.  These tests pin
 workload-mix × seed matrix — the backend axis is drawn from
 ``repro.params.BACKENDS``, so a future backend auto-enrolls the moment
 it is registered — plus refresh-enabled and multi-channel/ranked config
-variants, and unit tests for the two cache-invalidation events (interval
-boundary, promotion).
+variants, a pin on the number of scheduling rounds, and unit tests for
+the two cache-invalidation events (interval boundary, promotion).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench import VERIFY_MIXES
 from repro.controller.engine import DRAMControllerEngine
 from repro.controller.policies import make_policy
 from repro.params import BACKENDS, DRAMConfig, baseline_config
@@ -32,6 +31,13 @@ POLICIES = [
 ]
 SEEDS = [7, 11]
 ACCESSES = 600
+
+# The macrobench mix (repro.bench.MACRO_MIX) plus a second mix with a
+# different stream/locality character.
+VERIFY_MIXES = (
+    ("mcf_06", "libquantum_06", "lucas_00", "hmmer_06"),
+    ("swim_00", "galgel_00", "art_00", "ammp_00"),
+)
 
 # Backends compared against the reference; auto-grows with the registry.
 NON_REFERENCE = [backend for backend in BACKENDS if backend != "reference"]
@@ -85,6 +91,32 @@ def test_backends_match_reference_multichannel_ranked(policy):
         num_cores=len(mix), policy=policy, num_channels=2, permutation=True
     )
     _assert_all_backends_match(config, mix, seed=11)
+
+
+class TestRoundsPinned:
+    """Regression pin for the padc-rank macrobench cell at tiny scale.
+
+    The BENCH_5-era tick loop re-armed a wake for every scheduling round
+    and the ranked census rebuilt even when nothing moved.  This pins
+    the exact number of scheduling rounds the hot path executes for the
+    macrobench mix at tiny scale (1,500 accesses per core, seed 7): a
+    behavioral change that inflates round count (extra no-op wakes, lost
+    skip-ahead) breaks the pin even when byte-identity still holds.
+    Regenerate the constants by running the test body if the simulation
+    semantics legitimately change (CACHE_VERSION bump).
+    """
+
+    PINNED_ROUNDS = 6582
+    PINNED_CYCLES = 257295
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_padc_rank_tiny_rounds_pinned(self, backend):
+        mix = VERIFY_MIXES[0]
+        config = baseline_config(num_cores=len(mix), policy="padc-rank")
+        system = System(config, list(mix), seed=7, backend=backend)
+        result = system.run(1_500)
+        assert system.engine.stats.rounds == self.PINNED_ROUNDS
+        assert result.total_cycles == self.PINNED_CYCLES
 
 
 # -- epoch invalidation ----------------------------------------------------
