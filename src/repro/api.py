@@ -55,9 +55,10 @@ def simulate(
     ``telemetry=True`` attaches an interval-sampled
     :class:`~repro.telemetry.trace.SimTrace` as ``result.trace``;
     ``check=True`` (or ``$REPRO_CHECK=1``) audits invariants while
-    running.  ``backend`` picks the simulation loop (``"event"`` or
-    ``"reference"``; default ``$REPRO_BACKEND`` or the skip-ahead event
-    loop) — the choice never changes the result, only the wall-clock.
+    running.  ``backend`` picks the scheduling round the simulation loop
+    runs (``"event"``, the cached-key round, or ``"reference"``, the
+    naive oracle; default ``$REPRO_BACKEND`` or ``"event"``) — the choice
+    never changes the result, only the wall-clock.
     Each call builds a fresh
     :class:`~repro.sim.system.System` — the system itself refuses to run
     twice.

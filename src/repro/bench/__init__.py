@@ -9,7 +9,7 @@ split need:
   :func:`_macro_config` and :data:`SCALES` (accesses per core by scale
   name) sizing the phase-split run;
 * :func:`_install_tick_timer`, which perfbench uses to time the
-  scheduling round on either backend;
+  scheduling round;
 * :mod:`repro.bench.phases`, the cProfile pass whose self-time is
   bucketed into workload / core_cache / prefetcher / controller /
   telemetry / other, printed by ``python -m repro.bench``.
@@ -43,58 +43,34 @@ def _macro_config(policy: str) -> SystemConfig:
 class _TickTimer:
     """Accumulates wall time spent inside the scheduling round.
 
-    For the reference backend it is installed as an instance attribute on
-    the engine (shadowing the bound ``tick`` method), so every call site —
-    including the run loop's hoisted local — goes through it.  For the
-    event backend (which never calls ``engine.tick``) the per-channel
-    ticker closures are wrapped instead; see :func:`_install_tick_timer`.
+    Installed as an instance attribute on the engine, shadowing the bound
+    ``tick`` method; the simulation loop looks ``engine.tick`` up when a
+    run starts, so every round of that run goes through the timer.
     """
 
     __slots__ = ("_inner", "elapsed", "calls")
 
-    def __init__(self, inner=None):
+    def __init__(self, inner):
         self._inner = inner
         self.elapsed = 0.0
         self.calls = 0
 
-    def __call__(self, *args):
+    def __call__(self, channel_id: int, now: int):
         start = perf_counter()
-        result = self._inner(*args)
+        result = self._inner(channel_id, now)
         self.elapsed += perf_counter() - start
         self.calls += 1
         return result
 
 
 def _install_tick_timer(system: System, backend: str) -> _TickTimer:
-    """Install round timing on ``system`` for the given backend.
+    """Time every scheduling round of ``system``'s next run.
 
-    The reference backend routes every scheduling round through
-    ``engine.tick``; the event backend builds one fused ticker closure
-    per channel via ``engine.make_event_ticker`` and calls those
-    directly, so there the factory is shadowed and each closure it
-    returns is wrapped.  All wrapped closures share one accumulator, so
-    ``elapsed``/``calls`` aggregate across channels exactly like the
-    shared-``tick`` path.
+    Both backends reach the round through ``engine.tick``, so ``backend``
+    no longer changes anything; the parameter stays because perfbench
+    calls ``_install_tick_timer(system, system.backend)``.
     """
     engine = system.engine
-    if backend == "event":
-        timer = _TickTimer()
-        inner_factory = engine.make_event_ticker
-
-        def timed_factory(channel_id: int):
-            inner = inner_factory(channel_id)
-
-            def timed(now: int):
-                start = perf_counter()
-                result = inner(now)
-                timer.elapsed += perf_counter() - start
-                timer.calls += 1
-                return result
-
-            return timed
-
-        engine.make_event_ticker = timed_factory  # instance attr shadow
-        return timer
     timer = _TickTimer(engine.tick)
     engine.tick = timer  # instance attr shadows the bound method
     return timer

@@ -4,8 +4,8 @@
 macrobench mix once per policy under cProfile and prints one row per
 policy: the self-time share of each phase bucket (workload / core_cache
 / prefetcher / controller / telemetry / other) and the front-end total
-(DESIGN.md §15).  ``$REPRO_BACKEND`` picks the simulation loop; each
-row names the one that ran.  Throughput is measured by
+(DESIGN.md §15).  ``$REPRO_BACKEND`` picks the scheduling round; each
+row names the backend that ran.  Throughput is measured by
 ``python3 perfbench/run.py``, not here.
 
 Examples::

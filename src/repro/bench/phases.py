@@ -18,7 +18,7 @@ cProfile pass over the campaign-preset mix (:data:`repro.bench.MACRO_MIX`):
   and ``python3 perfbench/run.py`` for throughput.
 
 The run builds its ``System`` without a backend, so ``$REPRO_BACKEND``
-picks the simulation loop; the entry reports the one that ran.
+picks the scheduling round; the entry reports the backend that ran.
 
 Bucket map (module path → bucket):
 

@@ -86,6 +86,17 @@ def _check_overrides(overrides: Tuple[Tuple[str, object], ...], where: str) -> N
             )
 
 
+# simulate() arguments every campaign job fills in itself.
+_JOB_SIM_ARGS = ("config", "benchmarks", "max_accesses_per_core", "seed")
+
+
+def _sim_kwarg_names() -> List[str]:
+    from repro.sim.system import simulate
+
+    parameters = inspect.signature(simulate).parameters
+    return sorted(set(parameters) - set(_JOB_SIM_ARGS))
+
+
 def _as_override_tuple(overrides) -> Tuple[Tuple[str, object], ...]:
     if isinstance(overrides, Mapping):
         return tuple(sorted(overrides.items()))
@@ -318,6 +329,19 @@ class CampaignSpec:
             raise SpecError(f"duplicate variant labels: {variant_labels}")
         for label, overrides in self.variants:
             _check_overrides(overrides, f"variant {label!r}")
+        # Build every distinct config the grid runs, so an override value
+        # of the wrong type or range fails here rather than in a worker.
+        for cores in sorted({len(workload.benchmarks) for workload in self.workloads}):
+            for label, overrides in self.variants:
+                for variant in self.policies:
+                    merged = dict(overrides)
+                    merged.update(variant.overrides)
+                    try:
+                        baseline_config(cores, policy=variant.policy, **merged)
+                    except (TypeError, ValueError) as error:
+                        raise SpecError(
+                            f"variant {label!r}, policy {variant.label!r}: {error}"
+                        ) from None
         if not self.seeds:
             raise SpecError("a campaign needs at least one seed offset")
         if len(set(self.seeds)) != len(self.seeds):
@@ -334,7 +358,19 @@ class CampaignSpec:
             resolve_policy(self.alone_policy)
         except PolicyError as error:
             raise SpecError(f"alone_policy: {error}") from None
+        known_kwargs = _sim_kwarg_names()
         for key, value in self.sim_kwargs:
+            if key in _JOB_SIM_ARGS:
+                raise SpecError(
+                    f"sim_kwargs[{key!r}] is set by every job from the spec's "
+                    "workloads, accesses and seeds; remove it"
+                )
+            if key not in known_kwargs:
+                hint = _suggest(str(key), known_kwargs)
+                raise SpecError(
+                    f"unknown sim_kwargs key {key!r}{hint}; "
+                    f"known keys: {', '.join(known_kwargs)}"
+                )
             if not isinstance(value, _PRIMITIVES):
                 raise SpecError(
                     f"sim_kwargs[{key!r}] has non-JSON value {value!r}; "

@@ -53,11 +53,11 @@ class AdaptivePrefetchDropper:
         minimum of these per bank so scheduling rounds before the earliest
         deadline skip the drop scan entirely (DESIGN.md §10); the deadline
         is recomputed from the live per-core thresholds, so it must be
-        re-derived after every accuracy interval.  The skip-ahead event
-        backend additionally relies on the deadline being *exact*: the
-        bank's next wake can be this timestamp, and a deadline computed
-        even one cycle late would make the event backend drop a prefetch
-        a round later than the tick loop does.
+        re-derived after every accuracy interval.  The fast round
+        additionally relies on the deadline being *exact*: it skips a
+        bank's drop scan until the deadline, so a deadline computed even
+        one cycle late would make it drop a prefetch a round later than
+        the reference round does.
         """
         threshold = self.tracker.drop_threshold[request.core_id]
         gran = self.age_granularity

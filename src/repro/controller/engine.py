@@ -458,15 +458,16 @@ class DRAMControllerEngine:
     ) -> Callable[[int], Tuple[List[MemRequest], Optional[int]]]:
         """Build the fast scheduling round for one channel.
 
-        The skip-ahead backend (DESIGN.md §11) calls the returned closure
-        directly; :meth:`tick` routes through it on a non-reference
-        engine.  Per-channel state — queues, selection heaps, drop
-        deadlines, census splits, the channel's timing constants — is
-        bound once instead of re-resolved every round, and
-        :meth:`Channel.service` is inlined into the service loop.  Its
-        byte-identity with :meth:`_tick_reference` is certified by the
-        golden-equivalence matrix, the engine-level differential
-        property test and the differential fuzzer.
+        :meth:`tick` builds one per channel on first use and routes every
+        round of a non-reference engine through it, which is how the
+        simulation loop (DESIGN.md §11) reaches it.  Per-channel state —
+        queues, selection heaps, drop deadlines, census splits, the
+        channel's timing constants — is bound once instead of re-resolved
+        every round, and :meth:`Channel.service` is inlined into the
+        service loop.  Its byte-identity with :meth:`_tick_reference` is
+        certified by the golden-equivalence matrix, the engine-level
+        differential property test, the stored loop digests and the
+        differential fuzzer.
         """
         channel = self.channels[channel_id]
         banks = channel.banks

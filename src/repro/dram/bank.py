@@ -26,12 +26,12 @@ class Bank:
     """One DRAM bank: open-row state plus a busy-until timestamp.
 
     ``busy_until`` doubles as a scheduling-relevant timestamp for the
-    skip-ahead event backend (DESIGN.md §11): the engine's next-wake scan
-    takes the minimum over non-empty bank queues, and the event loop
-    advances the clock directly to it.  Anything that occupies a bank
-    must therefore go through ``busy_until`` (as ``Channel.service`` and
+    simulation loop (DESIGN.md §11): the engine's next-wake scan takes
+    the minimum over non-empty bank queues, and the loop schedules the
+    channel's next round at it.  Anything that occupies a bank must
+    therefore go through ``busy_until`` (as ``Channel.service`` and
     ``RefreshScheduler.apply`` do) — side-channel stalls would be
-    invisible to the skip-ahead computation.
+    invisible to the next-wake computation.
     """
 
     __slots__ = (

@@ -49,11 +49,11 @@ class RefreshScheduler:
     def next_refresh_after(self, now: int) -> int:
         """The first refresh boundary strictly after ``now``.
 
-        The event backend schedules this timestamp as a wake event
+        The simulation loop schedules this timestamp as a refresh event
         instead of polling every round, so boundaries must be computable
         in advance from ``now`` alone; a stateful (e.g. drift-correcting)
         refresh scheme would also need a new event source in
-        ``sim/skipahead.py``.
+        ``sim/loop.py``.
         """
         interval = self.config.interval
         return ((now // interval) + 1) * interval

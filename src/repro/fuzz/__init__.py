@@ -1,9 +1,9 @@
 """Differential backend fuzzer (DESIGN.md §11).
 
-The skip-ahead event backend is certified byte-identical to the
-reference backend by construction (every event push consumes the same
-sequence number the reference heap loop would have), but the proof
-lives in code review; this module is the executable counterpart.  It draws random simulation
+Both backends run the one simulation loop (``repro.sim.loop``) and
+differ only in the scheduling round: the cached-key round of the
+``event`` backend must make exactly the choices of the naive
+``reference`` round.  This module checks that.  It draws random simulation
 cases — random synthetic workload profiles × scheduling policy ×
 system-config knobs × seed — from a seeded RNG, runs every backend on
 each case in checked mode (the invariant checker of
@@ -53,8 +53,8 @@ POLICY_POOL: Tuple[str, ...] = (
     "padc-rank",
 )
 
-# Stream is weighted: it is the paper's prefetcher and the only one with
-# a type-specialized fast path in the event backend, so most draws should
+# Stream is weighted: it is the paper's prefetcher and the one whose
+# trigger batches load the request buffer hardest, so most draws should
 # go through it.
 PREFETCHER_POOL: Tuple[str, ...] = (
     "stream",
@@ -67,8 +67,8 @@ PREFETCHER_POOL: Tuple[str, ...] = (
 )
 FILTER_POOL: Tuple[Optional[str], ...] = (None, None, "fdp", "ddpf")
 
-# Small access counts keep a 200-case sweep around a minute; the event
-# backend's risky interleavings (retry vs fill vs tick ordering) all
+# Small access counts keep a 200-case sweep around a minute; the risky
+# interleavings (retry vs fill vs tick ordering, drops, promotions) all
 # happen within the first few hundred requests.
 ACCESS_POOL: Tuple[int, ...] = (150, 300, 600)
 

@@ -97,6 +97,11 @@ class CoreConfig:
     runahead_max_depth: int = 64
 
 
+# The prefetcher and prefetch-filter names of PrefetcherConfig.
+PREFETCHER_KINDS: Tuple[str, ...] = ("stream", "stride", "cdc", "markov", "none")
+FILTER_KINDS: Tuple[str, ...] = ("ddpf", "fdp")
+
+
 @dataclass(frozen=True)
 class PrefetcherConfig:
     """Hardware prefetcher selection and aggressiveness.
@@ -144,17 +149,15 @@ class PADCConfig:
     age_granularity: int = 100
 
 
-#: Simulation backends, fastest first.  Both are certified byte-identical
-#: by the golden-equivalence matrix and the differential fuzzer (DESIGN.md
-#: §11), which is what justifies excluding the backend knob from
-#: result-cache keys: a cached result answers for either backend.
+#: Simulation backends, fastest first: the scheduling round that the one
+#: simulation loop (``repro.sim.loop``) runs.  Both are certified
+#: byte-identical by the golden-equivalence matrix, the stored loop
+#: digests and the differential fuzzer (DESIGN.md §11), which is what
+#: justifies excluding the backend knob from result-cache keys: a cached
+#: result answers for either backend.
 #:
-#: * ``"event"`` — the skip-ahead loop: scheduling-relevant timestamps
-#:   (bank free times, arrivals, interval/refresh boundaries) are tracked
-#:   as scalar next-event times and the clock jumps straight to them, and
-#:   each channel schedules with the engine's fast cached-key round;
-#: * ``"reference"`` — the generic event heap (every tick is a heap
-#:   event) driving the naive scheduler that re-derives every priority
+#: * ``"event"`` — the engine's fast cached-key round;
+#: * ``"reference"`` — the naive round that re-derives every priority
 #:   per round; the differential oracle.
 BACKENDS: Tuple[str, ...] = ("event", "reference")
 
@@ -315,8 +318,42 @@ def baseline_config(
     ``policy`` resolves through :data:`POLICY_TABLE` (unknown names get
     the shared did-you-mean error); table aliases such as ``padc-rank``
     pre-set the PADC knobs, and explicit ``use_ranking``/``use_urgency``
-    arguments override them.
+    arguments override them.  An argument of the wrong type or range
+    raises ``TypeError``/``ValueError`` naming it.
     """
+    sizes = [
+        ("num_cores", num_cores),
+        ("num_channels", num_channels),
+        ("row_buffer_kb", row_buffer_kb),
+    ]
+    if cache_kb_per_core is not None:
+        sizes.append(("cache_kb_per_core", cache_kb_per_core))
+    for name, value in sizes:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    flags = [
+        ("shared_cache", shared_cache),
+        ("open_row", open_row),
+        ("permutation", permutation),
+        ("runahead", runahead),
+    ]
+    for name, value in (("use_ranking", use_ranking), ("use_urgency", use_urgency)):
+        if value is not None:
+            flags.append((name, value))
+    for name, value in flags:
+        if not isinstance(value, bool):
+            raise TypeError(f"{name} must be a boolean, got {value!r}")
+    if prefetcher_kind not in PREFETCHER_KINDS:
+        raise ValueError(
+            f"unknown prefetcher_kind {prefetcher_kind!r}; "
+            f"known: {', '.join(PREFETCHER_KINDS)}"
+        )
+    if filter_kind is not None and filter_kind not in FILTER_KINDS:
+        raise ValueError(
+            f"unknown filter_kind {filter_kind!r}; known: {', '.join(FILTER_KINDS)}"
+        )
     entry = resolve_policy(policy)
     padc_knobs = {"use_ranking": False, "use_urgency": True}
     padc_knobs.update(dict(entry.padc))

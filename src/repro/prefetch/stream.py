@@ -16,12 +16,12 @@ the aggressiveness at interval boundaries.
 
 Hot-path layout (DESIGN.md §15): every entry carries a *normalized*
 match interval ``[lo, hi]`` maintained at the handful of mutation sites
-(allocate, train, trigger, rewind).  The per-access ``_find`` scan — one
-run over up to ``num_streams`` entries per L2 access — then reduces to a
-single range compare per entry, with no state branch and no low/high
-swap for descending streams.  ``mon_start``/``mon_end`` keep the paper's
-directed-region semantics (and the existing tests' expectations); lo/hi
-are derived bookkeeping only.
+(allocate, train, trigger, rewind).  The match scan in ``on_access`` —
+one run over up to ``num_streams`` entries per L2 access — then reduces
+to a single range compare per entry, with no state branch and no
+low/high swap for descending streams.  ``mon_start``/``mon_end`` keep
+the paper's directed-region semantics (and the existing tests'
+expectations); lo/hi are derived bookkeeping only.
 """
 
 from __future__ import annotations
@@ -100,15 +100,6 @@ class StreamPrefetcher(Prefetcher):
         self.degree = degree
         self.distance = distance
 
-    def _find(self, line_addr: int) -> Optional[StreamEntry]:
-        # First match wins (regions may overlap), same order as the
-        # allocation list — the normalized lo/hi window makes this a
-        # single compare per entry regardless of state or direction.
-        for entry in self.entries:
-            if entry.lo <= line_addr <= entry.hi:
-                return entry
-        return None
-
     def _allocate(self, line_addr: int) -> None:
         entries = self.entries
         if len(entries) >= self.num_streams:
@@ -125,15 +116,20 @@ class StreamPrefetcher(Prefetcher):
         entries.append(StreamEntry(line_addr, self._tick, self.train_distance))
 
     def on_access(self, line_addr, was_hit, pc=0, allocate=True) -> List[int]:
-        self._tick += 1
-        entry = self._find(line_addr)
-        if entry is None:
+        self._tick = tick = self._tick + 1
+        # First match wins (regions may overlap), in allocation order —
+        # the normalized lo/hi window makes this a single compare per
+        # entry regardless of state or direction.
+        for entry in self.entries:
+            if entry.lo <= line_addr <= entry.hi:
+                break
+        else:
             # Only a demand *miss* outside all streams allocates (§2.3); the
             # only-train policy additionally suppresses allocation (§6.14).
             if not was_hit and allocate:
                 self._allocate(line_addr)
             return []
-        entry.last_use = self._tick
+        entry.last_use = tick
         if entry.state == _ALLOCATED:
             if line_addr == entry.start:
                 return []

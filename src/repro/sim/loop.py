@@ -1,66 +1,55 @@
-"""The skip-ahead event backend (DESIGN.md §11).
+"""The simulation loop (DESIGN.md §11).
 
-:func:`run_event` is a fused alternative to :meth:`System.run`'s event
-heap.  Instead of pushing TICK/INTERVAL/REFRESH tuples through the heap
-and discarding the superseded ones on pop, it keeps those recurring
-events as *scalar* next-fire slots (one per channel for ticks and
-refreshes, one global for the accuracy interval) and, each iteration,
-advances the clock directly to the earliest timestamp among the heap
-front and the scalar slots.  Only the irregular events — core progress,
-MSHR retries, DRAM fills — still travel through the heap.
+:func:`run_loop` runs a :class:`~repro.sim.system.System` to the end of
+its run.  One heap orders every event as a ``(time, seq, kind, arg)``
+tuple, with six kinds:
 
-On top of the scalar slots, the hot handlers (core access, prefetch
-issue, fill) are forked from :class:`System` with every cross-call
-attribute hoisted into closure locals; cold paths (runahead, writebacks,
-drops, checker, refresh) delegate to the shared ``System`` methods so
-there is exactly one implementation of each rare behavior.
+* ``CORE`` — a core reaches its next L2 access;
+* ``RETRY`` — a core retries an access that stalled on a full MSHR file;
+* ``FILL`` — a DRAM service completes and fills the L2;
+* ``TICK`` — a DRAM channel runs a scheduling round;
+* ``INTERVAL`` — the accuracy-sampling interval elapses (PAR update,
+  FDP adjustment);
+* ``REFRESH`` — a channel's periodic refresh is due.
 
-Byte-identity with the reference heap loop (certified by the golden
-equivalence matrix and the differential fuzzer) rests on two rules:
+A global sequence number breaks every equal-time tie, so events at one
+cycle run in push order.  A channel has at most one live tick: arming an
+earlier one leaves the later tuple in the heap, and a popped tick whose
+time is no longer the channel's pending time is discarded.
 
-* **Sequence parity** — ties between equal-time events are broken by a
-  global sequence counter, so this loop must consume sequence numbers at
-  exactly the program points the heap version pushes events, including
-  for events that end up superseded (the heap version burns a number on
-  the push it later discards).  ``System._schedule_tick_event`` and the
-  inline arms below mirror every such point.
-* **Discard equivalence** — a superseded heap tick is popped, bumps
-  ``_now`` and is dropped without side effects; since a later real event
-  always follows while cores are active (the interval event re-arms
-  itself), the transient ``_now`` value is never observed, so the scalar
-  slots may simply be overwritten.
-
-Cold helpers called from here mutate ``system._seq`` through the shared
-``System`` methods, so the closure-local ``seq`` is written back before
-— and reloaded after — every such call.
+The hot handlers (core access, prefetch issue, runahead, fill) are
+closures over hoisted locals, with the engine's request admission fused
+into them; the cold paths (writebacks, drops, refresh, interval end,
+result collection) are single ``System`` methods.  Those push through
+``system._seq``, so the closures' local ``seq`` is written back before,
+and reloaded after, every call that can push.  The scheduling round is
+``engine.tick``: the cached-key round, or the naive reference round on a
+``reference`` engine, so both backends run this one loop.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from collections import deque
 from typing import Optional
 
 from repro.cache.cache import CacheLine
 from repro.cache.mshr import MSHREntry
 from repro.controller.request import MemRequest
-from repro.prefetch.stream import _ALLOCATED, _MONITORING, StreamPrefetcher
 from repro.sim.results import SimResult
-from repro.sim.system import (
-    _CORE,
-    _DEMAND_MSHR_RESERVE,
-    _FILL,
-    _RETRY,
-)
+
+_CORE, _RETRY, _FILL, _TICK, _INTERVAL, _REFRESH = range(6)
+
+# MSHR entries that prefetches may never occupy, kept free for demands.
+_DEMAND_MSHR_RESERVE = 4
 
 _NEVER = 1 << 62
 
 
-def run_event(
+def run_loop(
     system, max_accesses_per_core: int, max_cycles: Optional[int]
 ) -> SimResult:
-    """Run ``system`` to completion with the skip-ahead loop."""
+    """Run ``system`` to completion and return its collected results."""
     config = system.config
     telemetry = system.telemetry
     telemetry.on_start(system)
@@ -77,10 +66,9 @@ def run_event(
     results = system.results
     engine = system.engine
     tracker = system.tracker
-    # One fused scheduling-round closure per channel (per-channel engine
-    # state prebound, Channel.service inlined), called directly rather
-    # than through engine.tick.
-    tickers = [engine.make_event_ticker(ch) for ch in range(config.dram.num_channels)]
+    # Looked up once per run, so a wrapper installed on the engine before
+    # the run (the speed harness's round timer) sees every round.
+    tick = engine.tick
     note_promotion = engine.note_promotion
     # Engine admission state, prebound for the fused admission path (the
     # forks of build_request + enqueue_* + _admit + earliest_service
@@ -117,98 +105,24 @@ def run_event(
     record_sent = tracker.record_sent
     record_used = tracker.record_used
     telemetry_on = system._telemetry_on
-    checker = system.checker
     runahead = config.core.runahead
+    runahead_depth = config.core.runahead_max_depth
     skipless = config.prefetcher.skipless
+    collect_service_times = system.collect_service_times
+    pf_service_pending = system._pf_service_pending
     mshr_waiters = system._mshr_waiters
     tick_pending = system._tick_pending
-    tick_seq = system._tick_seq
-    tick_stale = system._tick_stale
-    nch = config.dram.num_channels
-    channels = range(nch)
     # Per-core structure tables for the forked cache/MSHR/ROB fast paths.
     sets_by_core = [c._sets for c in caches]
     nsets_by_core = [c.num_sets for c in caches]
     assoc_by_core = [c.assoc for c in caches]
     rob_by_core = [c.config.rob_size for c in cores]
-    def make_stream_access(pf):
-        # Fork of StreamPrefetcher.on_access with _find inlined (one frame
-        # per access instead of two) for the exact base class; subclasses
-        # and other prefetchers keep their own on_access below.  The hot
-        # call sites always run the default allocate=True policy (only
-        # runahead passes allocate=False, and that goes through the shared
-        # System path).  Ascending batches come back as a ``range`` — the
-        # issue loop only enumerates and len()s them.
-        entries = pf.entries
-        allocate = pf._allocate
-
-        def stream_access(line_addr, was_hit, pc):
-            pf._tick = tick = pf._tick + 1
-            found = None
-            for entry in entries:
-                if entry.lo <= line_addr <= entry.hi:
-                    found = entry
-                    break
-            if found is None:
-                if not was_hit:
-                    allocate(line_addr)
-                return ()
-            found.last_use = tick
-            if found.state == _ALLOCATED:
-                start = found.start
-                if line_addr == start:
-                    return ()
-                found.direction = direction = 1 if line_addr > start else -1
-                end = start + pf.distance * direction
-                found.mon_start = start
-                found.mon_end = end
-                found.state = _MONITORING
-                if direction > 0:
-                    found.lo = start
-                    found.hi = end
-                else:
-                    found.lo = end
-                    found.hi = start
-                return ()
-            direction = found.direction
-            edge = found.mon_end
-            degree = pf.degree
-            shift = degree * direction
-            found.mon_end = edge + shift
-            found.mon_start += shift
-            found.lo += shift
-            found.hi += shift
-            pf._last_triggered = found
-            if direction > 0:
-                return range(edge + 1, edge + degree + 1)
-            return [
-                address
-                for address in range(edge - 1, edge - degree - 1, -1)
-                if address >= 0
-            ]
-
-        return stream_access
-
-    # The fused fork is gated on the exact class AND on ``on_access`` not
-    # being shadowed on the instance: tests and telemetry wrap prefetchers
-    # by assigning a spy to ``p.on_access``, and the fork would silently
-    # bypass it.
-    pf_on_access = [
-        None
-        if p is None
-        else (
-            make_stream_access(p)
-            if type(p) is StreamPrefetcher and "on_access" not in p.__dict__
-            else p.on_access
-        )
-        for p in prefetchers
-    ]
+    pf_on_access = [None if p is None else p.on_access for p in prefetchers]
 
     seq = system._seq
+    active = system._active_cores
 
-    # -- forked hot handlers -------------------------------------------------
-    # Byte-for-byte ports of the System methods of the same names; every
-    # behavioral line matches — only the attribute loads are hoisted.
+    # -- hot handlers --------------------------------------------------------
 
     def finish_core(core, now):
         nonlocal active
@@ -238,34 +152,11 @@ def run_event(
             (now + (entry[0] + width - 1) // width, seq, _CORE, core.core_id),
         )
 
-    def schedule_tick(channel, time):
-        # Mirrors System._schedule_tick_event (see its docstring for the
-        # sequence-parity and stale-revival rules) over closure locals,
-        # folding the arm into the cached scalar minimum: an arm only ever
-        # moves a slot *earlier* (later times return at the guard), so a
-        # single compare keeps ``sc_*`` equal to the true minimum without
-        # rescanning.
-        nonlocal seq, sc_time, sc_seq, sc_src, sc_ch
-        pending = tick_pending[channel]
-        if pending is not None and pending <= time:
-            return
-        seq += 1
-        stale = tick_stale[channel]
-        if pending is not None and pending not in stale:
-            stale[pending] = tick_seq[channel]
-        revived = stale.get(time)
-        eff = seq if revived is None else revived
-        tick_pending[channel] = time
-        tick_seq[channel] = eff
-        if time < sc_time or (time == sc_time and eff < sc_seq):
-            sc_time = time
-            sc_seq = eff
-            sc_src = 2
-            sc_ch = channel
-
     def admit(request, channel, bank_idx):
-        # Fork of DRAMControllerEngine._admit (non-reference form) with
-        # the engine state prebound.
+        # Fork of DRAMControllerEngine._admit with the engine state
+        # prebound.  A reference engine keeps no census and never builds
+        # bank heaps (its bank epochs stay -1), so the keyed push and the
+        # census update below are skipped there, as _admit skips them.
         queue = e_queues[channel][bank_idx]
         request.qpos = len(queue)
         queue.append(request)
@@ -305,19 +196,20 @@ def run_event(
             e_peak[channel] = occ
 
     def issue_prefetches(core_id, candidates, pc, now):
-        nonlocal seq, sc_time, sc_seq, sc_src, sc_ch
+        nonlocal seq
         cache = caches[core_id]
         mshr = mshrs[core_id]
         ddpf = ddpfs[core_id]
         fdp = fdps[core_id]
         stats = results[core_id]
-        prefetcher = prefetchers[core_id]
         sets = cache._sets
         num_sets = cache.num_sets
         mshr_entries = mshr._entries
         mshr_cap = mshr.capacity - _DEMAND_MSHR_RESERVE
         rejected_tail = 0
         for index, candidate in enumerate(candidates):
+            # Direct membership probes: a resident or in-flight line is
+            # never requested again.
             if candidate in sets[candidate % num_sets] or candidate in mshr_entries:
                 continue
             if ddpf is not None and not ddpf.allow(candidate, pc):
@@ -361,29 +253,56 @@ def run_event(
             stats.pf_sent += 1
             if fdp is not None:
                 fdp.sent += 1
-            # schedule_tick(), inlined.
+            # System._schedule_tick, inlined.
             busy = e_channels[channel].banks[bank_idx].busy_until
             time = busy if busy > now else now
             pending = tick_pending[channel]
             if pending is None or pending > time:
-                seq += 1
-                stale = tick_stale[channel]
-                if pending is not None and pending not in stale:
-                    stale[pending] = tick_seq[channel]
-                revived = stale.get(time)
-                eff = seq if revived is None else revived
                 tick_pending[channel] = time
-                tick_seq[channel] = eff
-                if time < sc_time or (time == sc_time and eff < sc_seq):
-                    sc_time = time
-                    sc_seq = eff
-                    sc_src = 2
-                    sc_ch = channel
-        if rejected_tail and prefetcher is not None and skipless:
-            prefetcher.rewind(rejected_tail)
+                seq += 1
+                heappush(heap, (time, seq, _TICK, channel))
+        if rejected_tail and skipless and prefetchers[core_id] is not None:
+            # Optional skip-less mode: stream prefetchers re-attempt the
+            # rejected lines on the next trigger instead of dropping them
+            # (the paper's prefetcher drops them, losing coverage).
+            prefetchers[core_id].rewind(rejected_tail)
+
+    def run_runahead(core, now):
+        # Runahead execution (paper §6.14): issue the core's future
+        # accesses as runahead requests while it is stalled.
+        nonlocal seq
+        core_id = core.core_id
+        cache = caches[core_id]
+        mshr = mshrs[core_id]
+        on_access = pf_on_access[core_id]
+        for entry in core.peek_ahead(runahead_depth):
+            line = entry.line_addr
+            if cache.touch_for_prefetcher(line) or mshr.contains(line):
+                continue
+            if mshr.occupancy >= mshr.capacity - _DEMAND_MSHR_RESERVE:
+                break
+            request = engine.build_request(
+                line, core_id, False, now, is_runahead=True
+            )
+            mshr.allocate(line, request)
+            engine.enqueue_demand(request)
+            system._seq = seq
+            system._schedule_tick(
+                request.channel, engine.earliest_service(request, now)
+            )
+            seq = system._seq
+            core.runahead_issued += 1
+            if on_access is not None:
+                # Only-train policy: existing streams keep training, no new
+                # allocations (paper §6.14, [18]).
+                candidates = on_access(
+                    line, was_hit=False, pc=entry.pc, allocate=False
+                )
+                if candidates:
+                    issue_prefetches(core_id, candidates, entry.pc, now)
 
     def handle_core(core_id, now, retry):
-        nonlocal seq, sc_time, sc_seq, sc_src, sc_ch
+        nonlocal seq
         core = cores[core_id]
         if core.done:
             return
@@ -427,6 +346,11 @@ def run_event(
         else:
             cache.demand_misses += 1
             if not retry:
+                # FDP feedback counts architectural misses, so it shares
+                # the retry guard: an access that stalled on a full MSHR
+                # file and came back is still *one* miss (and the
+                # pollution filter probe is consuming, so it must not run
+                # twice either).
                 core.l2_misses += 1
                 fdp = fdps[core_id]
                 if fdp is not None:
@@ -439,12 +363,17 @@ def run_event(
                 request = mshr_entry.request
                 if request.is_prefetch:
                     request.promote()
+                    # Re-key the request in the scheduler's selection heap
+                    # (no-op if it already left the request buffer).
                     note_promotion(request)
                     mshr_entry.promoted_late = True
                     count_useful(request.core_id, line, None, True)
                 if is_write:
                     mshr_entry.dirty_on_fill = True
                 mshr_entry.waiters.append(core_id)
+                # Delete-then-set keeps the dict ordered by send time, the
+                # invariant CoreState.rob_blocked()'s O(1) oldest read
+                # needs.
                 od = core.outstanding_demand
                 if line in od:
                     del od[line]
@@ -456,7 +385,7 @@ def run_event(
                     core.stall_start = now
                     core.mshr_stalls += 1
                     # Wake queues are prebuilt per MSHR file in
-                    # System.__init__/run — plain indexing, no setdefault
+                    # System.__init__ — plain indexing, no setdefault
                     # allocation on the stall path.
                     mshr_waiters[id(mshr)].append(core_id)
                     return
@@ -488,24 +417,14 @@ def run_event(
                     e_overflow[channel].append(request)
                 else:
                     admit(request, channel, bank_idx)
-                # schedule_tick(), inlined.
+                # System._schedule_tick, inlined.
                 busy = e_channels[channel].banks[bank_idx].busy_until
                 time = busy if busy > now else now
                 pending = tick_pending[channel]
                 if pending is None or pending > time:
-                    seq += 1
-                    stale = tick_stale[channel]
-                    if pending is not None and pending not in stale:
-                        stale[pending] = tick_seq[channel]
-                    revived = stale.get(time)
-                    eff = seq if revived is None else revived
                     tick_pending[channel] = time
-                    tick_seq[channel] = eff
-                    if time < sc_time or (time == sc_time and eff < sc_seq):
-                        sc_time = time
-                        sc_seq = eff
-                        sc_src = 2
-                        sc_ch = channel
+                    seq += 1
+                    heappush(heap, (time, seq, _TICK, channel))
                 od = core.outstanding_demand
                 if line in od:
                     del od[line]
@@ -526,12 +445,7 @@ def run_event(
             core.stalled = True
             core.stall_start = now
             if runahead:
-                system._seq = seq
-                system._run_runahead(core, now)
-                seq = system._seq
-                # Runahead arms ticks through System._schedule_tick_event,
-                # bypassing the incremental min — refresh the cache.
-                rescan_scalars()
+                run_runahead(core, now)
         else:
             # schedule_core_next(), inlined.
             if core.accesses_done >= core.target_accesses:
@@ -559,6 +473,7 @@ def run_event(
         stats = results[core_id]
         line = request.line_addr
         if request.is_write:
+            # Writeback completion: the data left the chip; nothing fills.
             stats.writeback_fills += 1
             return
         # Fork of MSHR.free.
@@ -609,10 +524,6 @@ def run_event(
                     system._seq = seq
                     system._issue_writeback(victim.core_id, victim_addr, now)
                     seq = system._seq
-                    # Writebacks arm ticks through
-                    # System._schedule_tick_event, bypassing the
-                    # incremental min — refresh the cache.
-                    rescan_scalars()
                 if victim.prefetched and not victim.ever_used:
                     results[victim.core_id].pf_evicted_unused += 1
                     system._note_unused_prefetch(victim.core_id, victim_addr)
@@ -628,6 +539,8 @@ def run_event(
                 # order-preserving dedupe dict allocation entirely.
                 waiter_ids = waiters_list
             else:
+                # A core can appear twice (demand then retry), and wake
+                # order must not depend on hash order.
                 waiter_ids = dict.fromkeys(waiters_list)
             for waiter_id in waiter_ids:
                 waiter = cores[waiter_id]
@@ -644,17 +557,14 @@ def run_event(
                         waiter.stalled = False
                         schedule_core_next(waiter, now)
         # Fork of System._wake_mshr_waiters (inlined at its only hot call
-        # site; the drop path wakes through the shared System method).
+        # site; the drop path wakes through the System method).
         waiters = mshr_waiters.get(id(mshr))
         if waiters and len(mshr_entries) < mshr.capacity:
             seq += 1
             heappush(heap, (now, seq, _RETRY, waiters.popleft()))
 
-    collect_service_times = system.collect_service_times
-    pf_service_pending = system._pf_service_pending
-
     def count_useful(core_id, line, row_hit_fill, late):
-        # Fork of System._count_useful.
+        # A prefetch from ``core_id`` proved useful (PUC += 1).
         record_used(core_id)
         stats = results[core_id]
         stats.pf_used += 1
@@ -677,188 +587,74 @@ def run_event(
             if late:
                 fdp.late += 1
 
-    # -- cached scalar minimum ----------------------------------------------
-    # ``sc_*`` caches the earliest (time, seq) among the scalar slots
-    # (interval, per-channel ticks, per-channel refreshes).  Between
-    # rescans a slot only ever moves *earlier* (arms at later times bail
-    # at the guard; interval/refresh slots change only inside their own
-    # fire branches, which rescan), so ``schedule_tick``'s single compare
-    # keeps the cache exact and the common heap-event iteration pays one
-    # (time, seq) compare instead of a scan over every slot.
-    sc_time = _NEVER
-    sc_seq = _NEVER
-    sc_src = 1
-    sc_ch = 0
-
-    def rescan_scalars():
-        nonlocal sc_time, sc_seq, sc_src, sc_ch
-        bt = interval_time
-        bs = interval_seq
-        bk = 1
-        bc = 0
-        for ch in channels:
-            t = tick_pending[ch]
-            if t is not None and (t < bt or (t == bt and tick_seq[ch] < bs)):
-                bt = t
-                bs = tick_seq[ch]
-                bk = 2
-                bc = ch
-            t = refresh_time[ch]
-            if t < bt or (t == bt and refresh_seq[ch] < bs):
-                bt = t
-                bs = refresh_seq[ch]
-                bk = 3
-                bc = ch
-        sc_time = bt
-        sc_seq = bs
-        sc_src = bk
-        sc_ch = bc
-
     # -- initial events ------------------------------------------------------
-    # Same arming (and sequence-consumption) order as System.run: cores,
-    # then the interval, then one refresh slot per channel.
-    active = system._active_cores
-    now = 0
+    # Cores first, then the interval, then one refresh per channel.
     for core in cores:
         core.target_accesses = max_accesses_per_core
         schedule_core_next(core, 0)
     seq += 1
-    interval_time = tracker.interval
-    interval_seq = seq
-    refresh_time = [_NEVER] * nch
-    refresh_seq = [0] * nch
-    refreshers = system._refresh
+    heappush(heap, (tracker.interval, seq, _INTERVAL, None))
     if config.dram.refresh_enabled:
-        for channel_id, scheduler in enumerate(refreshers):
+        for channel_id, scheduler in enumerate(system._refresh):
             seq += 1
-            refresh_time[channel_id] = scheduler.next_refresh_after(0)
-            refresh_seq[channel_id] = seq
-    rescan_scalars()
+            heappush(
+                heap,
+                (scheduler.next_refresh_after(0), seq, _REFRESH, channel_id),
+            )
 
-    # -- skip-ahead loop -----------------------------------------------------
+    # -- the loop --------------------------------------------------------------
     # The loop allocates no reference cycles, so collection is deferred to
     # the end of the run: the generational GC otherwise pauses every few
     # hundred net allocations to scan tuples that refcounting alone
     # already reclaims.
     cycle_cap = _NEVER if max_cycles is None else max_cycles
+    now = system._now
     gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
+    gc.disable()
     try:
-        while active > 0:
-            # Earliest of: heap front vs the cached scalar minimum,
-            # strictly by (time, seq).  The interval slot re-arms itself
-            # while cores are active, so there is always a candidate.
-            if heap:
-                event = heap[0]
-                t = event[0]
-                if t < sc_time or (t == sc_time and event[1] < sc_seq):
-                    if t > cycle_cap:
-                        # The heap version pops the over-cap event
-                        # (bumping _now) before breaking; _collect clamps
-                        # to the cap either way.
-                        now = t
-                        break
-                    now = t
-                    heappop(heap)
-                    kind = event[2]
-                    if kind == _CORE:
-                        handle_core(event[3], now, False)
-                    elif kind == _FILL:
-                        handle_fill(event[3], now)
-                    else:
-                        handle_core(event[3], now, True)
-                    continue
-            if sc_time > cycle_cap:
-                now = sc_time
+        while heap and active > 0:
+            now, _seq, kind, arg = heappop(heap)
+            if now > cycle_cap:
                 break
-            system._now = now = sc_time
-            if sc_src == 2:
-                best_ch = sc_ch
-                tick_pending[best_ch] = None
-                stale = tick_stale[best_ch]
-                if stale:
-                    # Every outstanding tuple at or before the fire time
-                    # is dead in the heap version too (popped and
-                    # discarded, or the one that just fired); only future
-                    # times can revive.
-                    for t in [t for t in stale if t <= now]:
-                        del stale[t]
+            if kind == _CORE:
+                handle_core(arg, now, False)
+            elif kind == _FILL:
+                handle_fill(arg, now)
+            elif kind == _TICK:
+                # Only the earliest pending tick per channel is live; a
+                # popped tick that no longer matches was superseded by an
+                # earlier one whose wake chain already covers every
+                # serviceable bank, so the round would be a no-op scan.
+                if tick_pending[arg] != now:
+                    continue
+                tick_pending[arg] = None
+                # The round may drop prefetches; the drop callback reads
+                # system._now and pushes its retry through system._seq.
+                system._now = now
                 system._seq = seq
                 if telemetry_on:
-                    telemetry.on_tick(system, best_ch, now)
-                # The round may drop prefetches; the _on_drop callback
-                # wakes MSHR waiters through system._seq, hence the sync.
-                serviced, next_wake = tickers[best_ch](now)
+                    telemetry.on_tick(system, arg, now)
+                serviced, next_wake = tick(arg, now)
                 seq = system._seq
-                if serviced:
-                    for request in serviced:
-                        seq += 1
-                        heappush(heap, (request.completion, seq, _FILL, request))
+                for request in serviced:
+                    seq += 1
+                    heappush(heap, (request.completion, seq, _FILL, request))
                 if next_wake is not None:
-                    # schedule_tick(), inlined — minus the sc_* update,
-                    # which the rescan below recomputes anyway.
-                    time = next_wake if next_wake > now else now + 1
-                    pending = tick_pending[best_ch]
-                    if pending is None or pending > time:
-                        seq += 1
-                        stale = tick_stale[best_ch]
-                        if pending is not None and pending not in stale:
-                            stale[pending] = tick_seq[best_ch]
-                        revived = stale.get(time)
-                        tick_pending[best_ch] = time
-                        tick_seq[best_ch] = seq if revived is None else revived
-            elif sc_src == 1:
-                system._seq = seq
-                if checker is not None:
-                    checker.on_interval(now)
-                telemetry.on_interval_pre(system, now)
-                tracker.end_interval()
-                engine.note_interval()
-                for fdp in fdps:
-                    if fdp is not None:
-                        fdp.adjust()
-                telemetry.on_interval_post(system, now)
-                seq = system._seq
-                if active > 0:
+                    # System._schedule_tick, inlined: nothing has re-armed this
+                    # channel since its pending tick was cleared above.
+                    wake = next_wake if next_wake > now else now + 1
+                    tick_pending[arg] = wake
                     seq += 1
-                    interval_time = now + tracker.interval
-                    interval_seq = seq
-                else:
-                    interval_time = _NEVER
+                    heappush(heap, (wake, seq, _TICK, arg))
+            elif kind == _RETRY:
+                handle_core(arg, now, True)
             else:
-                best_ch = sc_ch
-                scheduler = refreshers[best_ch]
-                done = scheduler.apply(engine.channels[best_ch], now)
-                schedule_tick(best_ch, done)
-                if active > 0:
-                    seq += 1
-                    refresh_time[best_ch] = scheduler.next_refresh_after(now)
-                    refresh_seq[best_ch] = seq
+                system._seq = seq
+                if kind == _REFRESH:
+                    system._handle_refresh(arg, now)
                 else:
-                    refresh_time[best_ch] = _NEVER
-            # rescan_scalars(), inlined at the loop's only hot call site.
-            bt = interval_time
-            bs = interval_seq
-            bk = 1
-            bc = 0
-            for ch in channels:
-                t = tick_pending[ch]
-                if t is not None and (t < bt or (t == bt and tick_seq[ch] < bs)):
-                    bt = t
-                    bs = tick_seq[ch]
-                    bk = 2
-                    bc = ch
-                t = refresh_time[ch]
-                if t < bt or (t == bt and refresh_seq[ch] < bs):
-                    bt = t
-                    bs = refresh_seq[ch]
-                    bk = 3
-                    bc = ch
-            sc_time = bt
-            sc_seq = bs
-            sc_src = bk
-            sc_ch = bc
+                    system._handle_interval(now)
+                seq = system._seq
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -1,6 +1,6 @@
 """Backend × result-cache interaction (DESIGN.md §11).
 
-The backend knob selects among certified-identical simulation loops, so
+The backend knob selects among certified-identical scheduling rounds, so
 it must never fragment the result cache: ``SystemConfig.backend`` is the
 one sanctioned ``exclude_from_hash`` field, ``repro.api`` strips the
 ``backend`` simulate-kwarg before a job is keyed, and a result computed

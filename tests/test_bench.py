@@ -34,6 +34,7 @@ class TestTickTimer:
         timer = _install_tick_timer(system, backend)
         system.run(SCALES["tiny"])
         assert timer.calls > 0
+        assert timer.calls == system.engine.stats.rounds
         assert timer.elapsed > 0
 
 

@@ -35,7 +35,7 @@ class TestBucketContract:
             ("/x/src/repro/workloads/synthetic.py", "generate", "workload"),
             ("/x/src/repro/trace/format.py", "entry_batches", "workload"),
             ("/x/src/repro/sim/system.py", "_handle_core", "core_cache"),
-            ("/x/src/repro/sim/skipahead.py", "run_event", "core_cache"),
+            ("/x/src/repro/sim/loop.py", "run_loop", "core_cache"),
             ("/x/src/repro/cache/cache.py", "lookup", "core_cache"),
             ("/x/src/repro/core/core.py", "rob_blocked", "core_cache"),
             ("/x/src/repro/prefetch/stream.py", "access", "prefetcher"),

@@ -33,6 +33,21 @@ from repro.campaign.report import export, status_summary
 
 POLICIES = ("demand-first", "padc")
 
+# Spec fields whose values pass the JSON type checks but would fail only
+# when a job runs; validate rejects each, naming where it came from.
+UNRUNNABLE = [
+    (
+        {"variants": {"v": {"num_channels": "two"}}},
+        "variant 'v', policy 'demand-first': num_channels must be an integer, "
+        "got 'two'",
+    ),
+    (
+        {"variants": {"v": {"num_channels": 0}}},
+        "variant 'v', policy 'demand-first': num_channels must be positive, got 0",
+    ),
+    ({"sim_kwargs": {"bogus": 1}}, "unknown sim_kwargs key 'bogus'; known keys: "),
+]
+
 
 def small_spec(name="tiny", include_alone=False, accesses=300, **kwargs):
     return CampaignSpec.build(
@@ -241,9 +256,11 @@ class TestSpecJsonTypes:
     @settings(max_examples=200, deadline=None)
     def test_any_one_field_gives_a_spec_or_a_spec_error(self, path, value):
         try:
-            CampaignSpec.from_dict(_replaced(path, value))
+            spec = CampaignSpec.from_dict(_replaced(path, value))
         except SpecError:
-            pass
+            return
+        # A spec that validates expands into its jobs without raising.
+        expand(spec)
 
     def test_negative_simulation_seed_rejected(self):
         with pytest.raises(SpecError) as excinfo:
@@ -262,6 +279,48 @@ class TestSpecJsonTypes:
                 "neg", [Workload.make(["swim"], seed=1)], POLICIES, 100, seeds=(0, -2)
             )
         assert "workload 0 (seed 1) with seed offset -2" in str(excinfo.value)
+
+
+class TestSpecRunnable:
+    """validate builds every grid config and checks ``sim_kwargs`` against
+    ``simulate``, so a spec that could only fail in a worker fails here."""
+
+    @pytest.mark.parametrize("extra,message", UNRUNNABLE)
+    def test_unrunnable_value_is_a_spec_error(self, extra, message):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(dict(VALID_SPEC, **extra))
+        assert str(excinfo.value).startswith(message)
+
+    def test_policy_override_is_checked_with_its_variant(self):
+        payload = dict(
+            VALID_SPEC,
+            policies=[
+                {"label": "ranked", "policy": "padc", "overrides": {"use_ranking": 1}}
+            ],
+        )
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(payload)
+        assert str(excinfo.value) == (
+            "variant 'base', policy 'ranked': use_ranking must be a boolean, got 1"
+        )
+
+    @pytest.mark.parametrize("key", ["seed", "max_accesses_per_core"])
+    def test_sim_kwargs_cannot_set_what_the_job_sets(self, key):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(dict(VALID_SPEC, sim_kwargs={key: 1}))
+        assert f"sim_kwargs[{key!r}] is set by every job" in str(excinfo.value)
+
+    def test_sim_kwargs_typo_suggests_the_key(self):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(dict(VALID_SPEC, sim_kwargs={"max_cycle": 10}))
+        assert "did you mean max_cycles?" in str(excinfo.value)
+
+    def test_known_sim_kwargs_reach_every_grid_job(self):
+        spec = CampaignSpec.from_dict(dict(VALID_SPEC, sim_kwargs={"max_cycles": 10}))
+        grid = [job for job in expand(spec) if job.kind == "grid"]
+        assert grid and all(
+            dict(job.job.sim_kwargs) == {"max_cycles": 10} for job in grid
+        )
 
 
 class TestExpansion:
@@ -609,6 +668,21 @@ class TestCLI:
         spec_file = self._spec_file(tmp_path)
         if isinstance(payload, dict):
             payload = dict(json.loads(spec_file.read_text()), **payload)
+        spec_file.write_text(json.dumps(payload))
+        directory = tmp_path / "campaign"
+        code = campaign_main(
+            ["create", "--spec", str(spec_file), "--dir", str(directory)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not directory.exists()
+
+    @pytest.mark.parametrize("extra,message", UNRUNNABLE)
+    def test_create_with_unrunnable_value_is_usage_error(
+        self, tmp_path, capsys, extra, message
+    ):
+        spec_file = self._spec_file(tmp_path)
+        payload = dict(json.loads(spec_file.read_text()), **extra)
         spec_file.write_text(json.dumps(payload))
         directory = tmp_path / "campaign"
         code = campaign_main(

@@ -198,6 +198,33 @@ class TestServiceValidation:
         assert body["error"] == message
         assert not (tmp_path / "campaigns").exists()
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            (
+                "variants",
+                {"v": {"num_channels": "two"}},
+                "variant 'v', policy 'demand-first': num_channels must be an "
+                "integer, got 'two'",
+            ),
+            (
+                "variants",
+                {"v": {"num_channels": 0}},
+                "variant 'v', policy 'demand-first': num_channels must be "
+                "positive, got 0",
+            ),
+            ("sim_kwargs", {"bogus": 1}, "unknown sim_kwargs key 'bogus'"),
+        ],
+    )
+    def test_unrunnable_value_is_400(self, server, tmp_path, field, value, message):
+        base, _ = server
+        payload = {"spec": small_spec_dict(), "directory": "unrunnable"}
+        payload["spec"][field] = value
+        status, body = request(f"{base}/campaigns", payload=payload, method="POST")
+        assert status == 400
+        assert body["error"].startswith(message)
+        assert not (tmp_path / "campaigns").exists()
+
     def test_non_numeric_content_length_is_400(self, server):
         base, _ = server
         host, port = base.rsplit("/", 1)[1].split(":")

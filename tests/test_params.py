@@ -113,6 +113,25 @@ class TestBaselineConfig:
     def test_filter_kind(self):
         assert baseline_config(4, filter_kind="ddpf").prefetcher.filter_kind == "ddpf"
 
+    @pytest.mark.parametrize(
+        "kwargs,error,message",
+        [
+            ({"num_channels": "two"}, TypeError, "num_channels must be an integer"),
+            ({"num_channels": 2.0}, TypeError, "num_channels must be an integer"),
+            ({"row_buffer_kb": True}, TypeError, "row_buffer_kb must be an integer"),
+            ({"num_channels": 0}, ValueError, "num_channels must be positive, got 0"),
+            ({"cache_kb_per_core": -1}, ValueError, "cache_kb_per_core must be"),
+            ({"open_row": "no"}, TypeError, "open_row must be a boolean, got 'no'"),
+            ({"use_ranking": 1}, TypeError, "use_ranking must be a boolean, got 1"),
+            ({"prefetcher_kind": "strem"}, ValueError, "unknown prefetcher_kind"),
+            ({"filter_kind": "fpd"}, ValueError, "unknown filter_kind 'fpd'"),
+        ],
+    )
+    def test_bad_argument_is_named(self, kwargs, error, message):
+        with pytest.raises(error) as excinfo:
+            baseline_config(2, **kwargs)
+        assert str(excinfo.value).startswith(message)
+
     def test_all_policies_constant(self):
         assert "padc" in ALL_POLICIES
         assert "demand-first" in ALL_POLICIES

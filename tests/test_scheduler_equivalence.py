@@ -1,9 +1,10 @@
 """Golden equivalence: every backend == the naive reference, byte for byte.
 
-The skip-ahead event backend (DESIGN.md §11) and its fast scheduling
-round (cached packed keys, epoch invalidation, bucket heaps, swap-pop —
-DESIGN.md §10) must be observationally identical to the reference path
-that re-derives every priority each round.  These tests pin
+Both backends run the one simulation loop (DESIGN.md §11); the event
+backend's fast scheduling round (cached packed keys, epoch
+invalidation, bucket heaps, swap-pop — DESIGN.md §10) must be
+observationally identical to the reference round that re-derives every
+priority each round.  These tests pin
 ``SimResult.to_dict()`` equality across the backend × policy ×
 workload-mix × seed matrix — the backend axis is drawn from
 ``repro.params.BACKENDS``, so a future backend auto-enrolls the moment
@@ -100,8 +101,9 @@ class TestRoundsPinned:
     and the ranked census rebuilt even when nothing moved.  This pins
     the exact number of scheduling rounds the hot path executes for the
     macrobench mix at tiny scale (1,500 accesses per core, seed 7): a
-    behavioral change that inflates round count (extra no-op wakes, lost
-    skip-ahead) breaks the pin even when byte-identity still holds.
+    behavioral change that inflates round count (extra no-op wakes, a
+    round run for a superseded tick) breaks the pin even when
+    byte-identity still holds.
     Regenerate the constants by running the test body if the simulation
     semantics legitimately change (CACHE_VERSION bump).
     """
