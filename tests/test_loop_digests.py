@@ -4,10 +4,12 @@ Each case's ``SimResult.to_dict()`` is serialized with sorted keys and
 hashed with sha256; ``tests/golden/loop_digests.json`` holds the digest
 every backend must reproduce.  The cases are the first 64 differential
 fuzz cases (every policy, writes, runahead, refresh, two channels, a
-shared cache, DDPF and FDP), plus three configurations the fuzzer never
+shared cache, DDPF and FDP), plus configurations the fuzzer never
 draws: a closed-row controller under padc-rank, a ``max_cycles`` cap
-that ends the run while requests are still in flight, and a traced run
-that also collects prefetch service times.
+that ends the run while requests are still in flight, a traced run
+that also collects prefetch service times, and eight intense cores
+under the ranking policies (the fuzzer draws at most four cores, so
+only these cases churn the core rank every round).
 
 A deliberate behaviour change regenerates the file with
 ``PYTHONPATH=src python tests/test_loop_digests.py`` and bumps
@@ -32,6 +34,12 @@ FUZZ_SEEDS = range(64)
 
 MIX2 = ("libquantum_06", "swim_00")
 MIX4 = ("mcf_06", "libquantum_06", "lucas_00", "hmmer_06")
+# Eight prefetch-unfriendly, memory-intense profiles: the request buffer
+# fills and the per-core critical counts reorder almost every round.
+MIX8 = (
+    "art_00", "milc_06", "galgel_00", "omnetpp_06",
+    "swim_00", "lbm_06", "mcf_06", "leslie3d_06",
+)
 
 
 def _fuzz(seed: int) -> Callable[[str], SimResult]:
@@ -72,11 +80,25 @@ def _telemetry_service_times(backend: str) -> SimResult:
     return system.run(3_000)
 
 
+def _eight_core_padc_rank(backend: str) -> SimResult:
+    config = baseline_config(num_cores=8, policy="padc-rank")
+    return System(config, MIX8, seed=7, backend=backend).run(1_500)
+
+
+def _eight_core_aps_rank_2ch(backend: str) -> SimResult:
+    config = baseline_config(
+        num_cores=8, policy="aps-rank", num_channels=2, permutation=True
+    )
+    return System(config, MIX8, seed=7, backend=backend).run(1_500)
+
+
 CASES: Dict[str, Callable[[str], SimResult]] = {
     **{f"fuzz-{seed}": _fuzz(seed) for seed in FUZZ_SEEDS},
     "closed-row-padc-rank": _closed_row_padc_rank,
     "max-cycles-cap": _max_cycles_cap,
     "telemetry-service-times": _telemetry_service_times,
+    "eight-core-padc-rank": _eight_core_padc_rank,
+    "eight-core-aps-rank-2ch": _eight_core_aps_rank_2ch,
 }
 
 
@@ -109,6 +131,10 @@ class TestExtraCasesExerciseTheirPath:
         result = _telemetry_service_times(BACKENDS[0])
         assert result.trace is not None and result.trace.intervals
         assert any(core.useful_service_times for core in result.cores)
+
+    def test_eight_core_rank_run_crosses_two_intervals(self):
+        result = _eight_core_padc_rank(BACKENDS[0])
+        assert all(len(par) >= 2 for par in result.accuracy_history)
 
 
 def _regenerate() -> None:
