@@ -21,9 +21,10 @@ from typing import List, Optional
 from repro import api
 from repro.controller.cost import cost_as_fraction_of_l2, padc_storage_cost
 from repro.metrics import harmonic_speedup, unfairness, weighted_speedup
-from repro.params import ALL_POLICIES, baseline_config
+from repro.params import POLICY_TABLE, baseline_config
 from repro.runtime import SimJob
 from repro.workloads import ALL_BENCHMARKS
+from repro.workloads.resolve import resolve_workload
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,7 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one simulation")
     sim.add_argument("--cores", type=int, default=1)
-    sim.add_argument("--policy", default="padc", help=f"one of {ALL_POLICIES}")
+    sim.add_argument(
+        "--policy", default="padc", help=f"one of: {', '.join(POLICY_TABLE)}"
+    )
     sim.add_argument(
         "--benchmarks",
         required=True,
@@ -129,22 +132,35 @@ def _configure_runtime(args):
     return runtime.get_runtime()
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_simulate(args) -> int:
     benchmarks = [name.strip() for name in args.benchmarks.split(",") if name.strip()]
     if len(benchmarks) != args.cores:
-        print(
-            f"error: {args.cores} cores but {len(benchmarks)} benchmarks",
-            file=sys.stderr,
+        return _usage_error(f"{args.cores} cores but {len(benchmarks)} benchmarks")
+    # Reject bad names and settings here, before a job is built: inside
+    # the runtime they would surface as a worker traceback.
+    try:
+        for name in benchmarks:
+            resolve_workload(name)
+    except KeyError as error:  # unknown benchmark profile
+        return _usage_error(error.args[0])
+    except (ValueError, OSError) as error:  # unresolvable trace: spec
+        return _usage_error(error)
+    try:
+        config = baseline_config(
+            args.cores,
+            policy=args.policy,
+            prefetcher_kind=args.prefetcher,
+            num_channels=args.channels,
+            shared_cache=args.shared_cache,
+            runahead=args.runahead,
         )
-        return 2
-    config = baseline_config(
-        args.cores,
-        policy=args.policy,
-        prefetcher_kind=args.prefetcher,
-        num_channels=args.channels,
-        shared_cache=args.shared_cache,
-        runahead=args.runahead,
-    )
+    except (TypeError, ValueError) as error:  # PolicyError is a ValueError
+        return _usage_error(error)
     runtime = _configure_runtime(args)
     sim_kwargs = {"check": True} if args.check else {}
     result = api.submit(

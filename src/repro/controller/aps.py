@@ -10,21 +10,21 @@ Priority order (highest first):
    accurate-prefetcher cores.
 4. **Rank** (optional, Rule 2) — PAR-BS-style shortest-job-first: critical
    requests from the core with the fewest outstanding critical requests
-   win.  Non-critical requests all carry the lowest rank (0).
+   win.  Non-critical requests all carry rank 0.
 5. **FCFS** — oldest first (admission order breaks exact ties).
 
 Epoch discipline (DESIGN.md §10): the C/U bits read the tracker's
 per-core criticality flags, which only move at accuracy-interval
-boundaries — ``notify_interval`` bumps the epoch then.  With ranking
-enabled the per-core rank vector is recomputed every round, but stored as
-dense order-ranks so the epoch is bumped only when the cores' relative
-order actually changed — cached keys survive the (common) rounds where
-the census shifts without reordering the cores.
+boundaries — ``notify_interval`` bumps the epoch then, and nothing else
+does.  The rank never enters a cached key: it moves almost every round,
+so ``priority_key`` leaves the rank field at its bias and the policy
+publishes ``rank_add``, the per-core rank shifted into that field, which
+the fast round adds to every key carrying the C bit when it compares.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.controller.accuracy import PrefetchAccuracyTracker
 from repro.controller.cost import FCFS_BITS, RANK_BIAS, RANK_BITS
@@ -49,17 +49,17 @@ class AdaptivePrefetchScheduler(SchedulingPolicy):
         # The census fast path (engine-maintained per-core queue counts)
         # carries every input Rule 2 needs; see begin_tick_census.
         self.census_based = use_ranking
-        self._rank: List[int] = [0] * tracker.num_cores
-        # Last critical-census vector ranks were derived from: rounds
-        # where the census is unchanged (common at small scales — many
-        # rounds service nothing or rearrange nothing) skip the dense-
-        # rank derivation and its sort entirely.
-        self._counts: Optional[List[int]] = None
+        # Per-core critical-request counts of the channel last ticked;
+        # a core's rank is the negated count (shortest job first).
+        self._counts: List[int] = [0] * tracker.num_cores
+        if use_ranking:
+            self.rank_add = [0] * tracker.num_cores
         self.name = "aps" + ("-rank" if use_ranking else "")
-        # RH is flag bit 1; with ranking the flags sit above the rank field.
-        self.hit_delta = (
-            (2 << RANK_BITS) << FCFS_BITS if use_ranking else 2 << FCFS_BITS
-        )
+        # RH is flag bit 1 and C flag bit 2; with ranking the flags sit
+        # above the rank field.
+        flag_shift = RANK_BITS + FCFS_BITS if use_ranking else FCFS_BITS
+        self.hit_delta = 2 << flag_shift
+        self.critical_bit = 4 << flag_shift
 
     def notify_interval(self) -> None:
         """PAR recomputation may have flipped criticality: drop all keys."""
@@ -91,35 +91,23 @@ class AdaptivePrefetchScheduler(SchedulingPolicy):
         construction: the scan's predicate ``not is_prefetch or
         critical[core]`` partitions the queue into exactly these two
         splits.  O(cores) per round, and rounds whose census is unchanged
-        skip the rank derivation too — this is what fixed the padc-rank
-        tiny-scale regression, where per-round scans of long queues
-        dominated the cached-key round's win.
+        keep the published ``rank_add`` as it is.
         """
         critical = self.tracker.prefetch_critical
-        counts = [
-            d + p if c else d
-            for d, p, c in zip(demand_counts, prefetch_counts, critical)
-        ]
-        if counts == self._counts:
-            return
-        self._update_ranks(counts)
+        self._update_ranks(
+            [
+                d + p if c else d
+                for d, p, c in zip(demand_counts, prefetch_counts, critical)
+            ]
+        )
 
     def _update_ranks(self, counts: List[int]) -> None:
-        if counts == self._counts:
-            return
-        self._counts = counts
-        # Only the cores' *relative* order matters: the rank field is one
-        # level of a lexicographic comparison, so any monotone remapping
-        # of -count selects identically.  Dense order-ranks (fewest
-        # outstanding -> 0, next distinct count -> -1, ...) change only
-        # when the core ordering changes, not on every serviced request —
-        # keeping cached keys valid across the common rounds where the
-        # census shifts but the ordering does not.
-        order = {count: -i for i, count in enumerate(sorted(set(counts)))}
-        rank = [order[count] for count in counts]
-        if rank != self._rank:
-            self._rank = rank
-            self.epoch += 1
+        # Rank = -count.  Counts never exceed the request buffer, far
+        # below RANK_BIAS, so a biased rank stays inside the rank field
+        # and adding ``rank_add`` to a key never borrows from the flags.
+        if counts != self._counts:
+            self._counts = counts
+            self.rank_add = [-count << FCFS_BITS for count in counts]
 
     def priority(self, request: MemRequest, row_hit: bool) -> Tuple:
         core = request.core_id
@@ -131,7 +119,7 @@ class AdaptivePrefetchScheduler(SchedulingPolicy):
             and not self.tracker.prefetch_critical[core]
         )
         if self.use_ranking:
-            rank = self._rank[core] if critical else 0
+            rank = -self._counts[core] if critical else 0
             return (critical, row_hit, urgent, rank, -request.arrival, -request.seq)
         return (critical, row_hit, urgent, -request.arrival, -request.seq)
 
@@ -146,11 +134,10 @@ class AdaptivePrefetchScheduler(SchedulingPolicy):
         )
         flags = (critical << 2) | (row_hit << 1) | urgent
         if self.use_ranking:
-            # Dense order-ranks sit in [-(cores-1), 0]; biased they fit
-            # the field.  Rank only ever compares within one (C, RH, U)
-            # flag group — critical vs non-critical differ in the C bit
-            # above this field — so non-critical requests sharing the
-            # bias value with a rank-0 critical core is harmless.
-            field = (self._rank[core] + RANK_BIAS) if critical else RANK_BIAS
-            flags = (flags << RANK_BITS) | field
+            # The rank field holds only its bias: the core's rank is
+            # applied at selection time, as ``rank_add[core]`` on keys with
+            # the C bit.  Rank only ever compares within one (C, RH, U)
+            # flag group, so non-critical requests keeping the bias value
+            # (rank 0) is exact.
+            flags = (flags << RANK_BITS) | RANK_BIAS
         return (flags << FCFS_BITS) | request.fcfs_key

@@ -52,7 +52,10 @@ SEQ_LIMIT = (1 << SEQ_BITS) - 1
 # Counts are bounded by the request buffer (<= 256 entries at 8 cores,
 # and nobody configures anywhere near 32k), far below the bias; field
 # value 0 is reserved as "below every real rank" (PAR-BS's unranked-core
-# sentinel).
+# sentinel).  PAR-BS packs its rank into the cached key (it moves only
+# at batch formation).  APS-rank's cached key holds only the bias, and
+# the scheduling round adds ``-count << FCFS_BITS`` to critical keys when
+# it compares, so the biased field never leaves [bias - 256, bias].
 RANK_BITS = 16
 RANK_BIAS = 1 << (RANK_BITS - 1)
 

@@ -21,15 +21,13 @@ Two interchangeable scheduling rounds share all of the above
 * the **fast** round (default; :meth:`make_event_ticker`) caches *two*
   packed integer priority keys per request — one for each row-buffer
   outcome — so a bank's open row changing invalidates nothing; only the
-  policy's key epoch (bumped on interval boundaries and rank/batch
-  changes) and promotion do.  Winners come from per-bank lazy
-  max-heaps: a base heap ordered by the row-miss key plus per-row
-  buckets ordered by the row-hit key; the bank's best request is the
-  greater of the open-row bucket's top and the base heap's top.  Stale
-  entries are discarded lazily.  Winner removal is an index-tracked
-  swap-pop; the APD age scan is skipped until the bank's earliest drop
-  deadline; closed-row precharge queries are answered from per-bank
-  open-row refcounts;
+  policy's key epoch (bumped on interval boundaries and PAR-BS batch
+  formation) and promotion do.  Each free bank's winner comes from one
+  pass over its queue comparing the cached keys (re-deriving stale
+  ones), plus the policy's selection-time ``rank_add`` under APS
+  ranking.  Winner removal is an index-tracked swap-pop; the APD age
+  scan is skipped until the bank's earliest drop deadline; closed-row
+  precharge queries are answered from per-bank open-row refcounts;
 * the **reference** round (:meth:`_tick_reference`) re-derives every
   priority tuple from scratch each round; it is the oracle the fast
   round is checked against.
@@ -44,7 +42,6 @@ reference=True)`` or system-wide with ``$REPRO_BACKEND=reference``.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.controller.apd import AdaptivePrefetchDropper
@@ -146,31 +143,6 @@ class DRAMControllerEngine:
         # (and a deadline recomputation) on the next round.
         self._drop_check: List[List[int]] = [
             [0] * banks for _ in range(config.num_channels)
-        ]
-        # Per-bank lazy selection structures, valid for the policy epoch
-        # recorded in ``_bank_epoch`` (-1 = must rebuild):
-        #
-        # * ``_base_heaps[ch][b]`` — max-heap of (-prio_base, request)
-        #   over every queued request (row-miss keys);
-        # * ``_row_buckets[ch][b]`` — dict row -> max-heap of
-        #   (-prio_hit, request) over that row's queued requests.
-        #
-        # The bank's best request is max(open-row bucket top by hit key,
-        # base top by miss key): a row-hit key only differs from the miss
-        # key in flag bits that never lower it, so if the base top's row
-        # is open, the bucket top dominates it.  Entries for removed or
-        # re-keyed requests are discarded lazily when they surface; keys
-        # are unique, so heap order never falls through to comparing
-        # requests.  Open-row changes never invalidate these structures —
-        # only epoch bumps (rebuild) and promotions (re-push) do.
-        self._base_heaps: List[List[list]] = [
-            [[] for _ in range(banks)] for _ in range(config.num_channels)
-        ]
-        self._row_buckets: List[List[Dict[int, list]]] = [
-            [{} for _ in range(banks)] for _ in range(config.num_channels)
-        ]
-        self._bank_epoch: List[List[int]] = [
-            [-1] * banks for _ in range(config.num_channels)
         ]
         # Closed-row policy: per-bank refcounts of queued requests per row,
         # so "does any queued request still hit this row?" is O(1).
@@ -282,24 +254,13 @@ class DRAMControllerEngine:
         if self._row_refs is not None:
             refs = self._row_refs[channel][bank_idx]
             refs[request.row] = refs.get(request.row, 0) + 1
-        if not self.reference:
-            # Keep the bank's selection structures coherent: if they are
-            # built for the current epoch, key the new request now and
-            # push it into both heaps; otherwise they are stale and the
-            # next scheduling round rebuilds them.
-            epoch = self.policy.epoch
-            if self._bank_epoch[channel][bank_idx] == epoch:
-                self._push_keyed(
-                    request,
-                    self._base_heaps[channel][bank_idx],
-                    self._row_buckets[channel][bank_idx],
-                    epoch,
-                )
-            if self._census_demand is not None:
-                if request.is_prefetch:
-                    self._census_prefetch[channel][request.core_id] += 1
-                else:
-                    self._census_demand[channel][request.core_id] += 1
+        # The request arrives unkeyed (prio_stamp -1); the next round that
+        # scans its bank keys it.
+        if self._census_demand is not None:
+            if request.is_prefetch:
+                self._census_prefetch[channel][request.core_id] += 1
+            else:
+                self._census_demand[channel][request.core_id] += 1
         self._occupancy[channel] += 1
         if self._occupancy[channel] > self.peak_occupancy[channel]:
             self.peak_occupancy[channel] = self._occupancy[channel]
@@ -351,79 +312,18 @@ class DRAMControllerEngine:
     # -- priority-cache maintenance ------------------------------------------
 
     def note_promotion(self, request: MemRequest) -> None:
-        """A queued prefetch was promoted to demand status: re-key it.
+        """A queued prefetch was promoted to demand status.
 
-        ``promote()`` already invalidated the request's cached keys; this
-        hook additionally reinserts it into the bank's selection heaps
-        with its new (demand) keys, so the promotion takes effect on the
-        very next scheduling round — the old heap entries are lazily
-        discarded when they surface (their keys no longer match).  No-op
-        for requests that already left the queue and on the reference
-        path (which re-derives every priority per round anyway).
+        ``promote()`` already invalidated the request's cached keys, so the
+        next round that scans its bank re-keys it; this hook moves its
+        census count across the demand/prefetch split.  No-op for
+        requests that already left the queue and for engines without a
+        census (the reference round re-derives everything per round).
         """
-        if self.reference or request.qpos < 0:
+        if self._census_demand is None or request.qpos < 0:
             return
-        channel = request.channel
-        bank_idx = request.bank
-        if self._census_demand is not None:
-            # The request flipped P -> demand while queued: move its
-            # census count across the split (promote() already ran).
-            self._census_prefetch[channel][request.core_id] -= 1
-            self._census_demand[channel][request.core_id] += 1
-        epoch = self.policy.epoch
-        if self._bank_epoch[channel][bank_idx] == epoch:
-            self._push_keyed(
-                request,
-                self._base_heaps[channel][bank_idx],
-                self._row_buckets[channel][bank_idx],
-                epoch,
-            )
-
-    def _push_keyed(
-        self, request: MemRequest, base: list, buckets: Dict[int, list], epoch: int
-    ) -> None:
-        """Key ``request`` for ``epoch`` and push it into both bank heaps."""
-        policy = self.policy
-        key = policy.priority_key(request, False)
-        request.prio_base = key
-        request.prio_hit = key + policy.hit_delta
-        request.prio_stamp = epoch
-        heappush(base, (-key, request))
-        bucket = buckets.get(request.row)
-        if bucket is None:
-            buckets[request.row] = bucket = []
-        heappush(bucket, (-request.prio_hit, request))
-
-    def _rebuild_bank(
-        self, channel_id: int, bank_idx: int, queue: List[MemRequest], epoch: int
-    ) -> Tuple[list, Dict[int, list]]:
-        """Rebuild one bank's base heap and row buckets for ``epoch``.
-
-        Re-keys every queued request whose cache is stale; runs only when
-        the policy epoch moved since the structures were built (or every
-        live entry was consumed), never on open-row changes.
-        """
-        priority_key = self.policy.priority_key
-        hit_delta = self.policy.hit_delta
-        base = []
-        buckets: Dict[int, list] = {}
-        for request in queue:
-            if request.prio_stamp != epoch:
-                request.prio_base = key = priority_key(request, False)
-                request.prio_hit = key + hit_delta
-                request.prio_stamp = epoch
-            base.append((-request.prio_base, request))
-            bucket = buckets.get(request.row)
-            if bucket is None:
-                buckets[request.row] = bucket = []
-            bucket.append((-request.prio_hit, request))
-        heapify(base)
-        for bucket in buckets.values():
-            heapify(bucket)
-        self._base_heaps[channel_id][bank_idx] = base
-        self._row_buckets[channel_id][bank_idx] = buckets
-        self._bank_epoch[channel_id][bank_idx] = epoch
-        return base, buckets
+        self._census_prefetch[request.channel][request.core_id] -= 1
+        self._census_demand[request.channel][request.core_id] += 1
 
     def note_interval(self) -> None:
         """An accuracy interval ended: per-core scheduler inputs may move.
@@ -461,13 +361,13 @@ class DRAMControllerEngine:
         :meth:`tick` builds one per channel on first use and routes every
         round of a non-reference engine through it, which is how the
         simulation loop (DESIGN.md §11) reaches it.  Per-channel state —
-        queues, selection heaps, drop deadlines, census splits, the
-        channel's timing constants — is bound once instead of re-resolved
-        every round, and :meth:`Channel.service` is inlined into the
-        service loop.  Its byte-identity with :meth:`_tick_reference` is
-        certified by the golden-equivalence matrix, the engine-level
-        differential property test, the stored loop digests and the
-        differential fuzzer.
+        queues, drop deadlines, census splits, the channel's timing
+        constants — is bound once instead of re-resolved every round,
+        and :meth:`Channel.service` is inlined into the service loop.
+        Its byte-identity with :meth:`_tick_reference` is certified by
+        the golden-equivalence matrix, the engine-level differential
+        property test, the stored loop digests and the differential
+        fuzzer.
         """
         channel = self.channels[channel_id]
         banks = channel.banks
@@ -477,9 +377,9 @@ class DRAMControllerEngine:
         dropper = self.dropper
         drop_checks = self._drop_check[channel_id] if dropper is not None else None
         drop_deadline = dropper.drop_deadline if dropper is not None else None
-        base_heaps = self._base_heaps[channel_id]
-        row_buckets = self._row_buckets[channel_id]
-        bank_epochs = self._bank_epoch[channel_id]
+        priority_key = policy.priority_key
+        hit_delta = policy.hit_delta
+        critical_bit = policy.critical_bit
         index_map = self._index[channel_id]
         occupancy = self._occupancy
         overflow = self._overflow[channel_id]
@@ -494,8 +394,6 @@ class DRAMControllerEngine:
             else None
         )
         row_refs_ch = None if self._row_refs is None else self._row_refs[channel_id]
-        push_keyed = self._push_keyed
-        rebuild = self._rebuild_bank
         drop = self._drop
         drain = self._drain_overflow
         begin_census = (
@@ -522,6 +420,7 @@ class DRAMControllerEngine:
             elif begin_scan is not None:
                 begin_scan(queues, now)
             epoch = policy.epoch
+            rank_add = policy.rank_add
             # Next-wake time is folded into the scan: busy banks contribute
             # here, serviced banks contribute their new busy time below,
             # and overflow draining (which can repopulate any queue) falls
@@ -544,8 +443,6 @@ class DRAMControllerEngine:
                     # Age-scan round: drop over-age prefetches, compact the
                     # queue (fixing queue positions), and re-derive the
                     # bank's earliest drop deadline from the survivors.
-                    # Stale heap entries for dropped requests are
-                    # discarded lazily.
                     next_check = _NEVER
                     write = 0
                     for request in queue:
@@ -564,61 +461,28 @@ class DRAMControllerEngine:
                     drop_checks[bank_idx] = next_check
                     if not queue:
                         continue
-                base = base_heaps[bank_idx]
-                if bank_epochs[bank_idx] != epoch or not base:
-                    base, buckets = rebuild(channel_id, bank_idx, queue, epoch)
-                else:
-                    buckets = row_buckets[bank_idx]
-                # Sift the base heap until its top is live: still queued,
-                # stamped for this epoch, and carrying its current miss key.
-                while True:
-                    neg_key, request = base[0]
-                    if request.qpos >= 0:
-                        if request.prio_stamp == epoch:
-                            if -neg_key == request.prio_base:
-                                break
-                        else:
-                            # Promoted while queued under an older epoch:
-                            # re-key, reinsert into both heaps, keep sifting.
-                            heappop(base)
-                            push_keyed(request, base, buckets, epoch)
-                            continue
-                    heappop(base)
-                    if not base:
-                        # Only stale entries remained; the queue is nonempty.
-                        base, buckets = rebuild(channel_id, bank_idx, queue, epoch)
-                best_key = -base[0][0]
-                best = base[0][1]
+                # One pass over the queue: re-key requests whose stamp is
+                # stale (new, promoted, or keyed under an older epoch), take
+                # the hit key for open-row requests and the miss key
+                # otherwise, and apply the selection-time core rank to
+                # critical keys.  Keys are unique, so the winner does not
+                # depend on queue order.
                 open_row = bank.open_row
-                if best.row == open_row:
-                    # The base top is itself an open-row request, so it is
-                    # the best open-row request (hit keys order them the
-                    # same way) and beats every other candidate under
-                    # either key: take it with its hit key, skip the bucket.
-                    winners.append((best.prio_hit, bank_idx, best))
-                    continue
-                # The open-row bucket's best hit-keyed request beats the
-                # base top whenever its key is >= — a hit key never
-                # compares below the same request's miss key, so the base
-                # top never wins while its own row is the open one.
-                bucket = buckets.get(open_row)
-                if bucket is not None:
-                    while bucket:
-                        neg_key, request = bucket[0]
-                        if request.qpos >= 0:
-                            if request.prio_stamp == epoch:
-                                if -neg_key == request.prio_hit:
-                                    if -neg_key >= best_key:
-                                        best_key = -neg_key
-                                        best = request
-                                    break
-                            else:
-                                heappop(bucket)
-                                push_keyed(request, base, buckets, epoch)
-                                continue
-                        heappop(bucket)
-                    if not bucket:
-                        del buckets[open_row]
+                best_key = -1
+                for request in queue:
+                    if request.prio_stamp != epoch:
+                        request.prio_base = key = priority_key(request, False)
+                        request.prio_hit = key + hit_delta
+                        request.prio_stamp = epoch
+                    if request.row == open_row:
+                        key = request.prio_hit
+                    else:
+                        key = request.prio_base
+                    if rank_add is not None and key >= critical_bit:
+                        key += rank_add[request.core_id]
+                    if key > best_key:
+                        best_key = key
+                        best = request
                 winners.append((best_key, bank_idx, best))
             if overflow:
                 drain(channel_id)
@@ -667,12 +531,6 @@ class DRAMControllerEngine:
                     queue[pos] = last
                     last.qpos = pos
                 request.qpos = -1
-                base = base_heaps[bank_idx]
-                if base and base[0][1] is request:
-                    heappop(base)
-                bucket = row_buckets[bank_idx].get(row)
-                if bucket and bucket[0][1] is request:
-                    heappop(bucket)
                 if (
                     not request.is_write
                     and index_map.get(request.line_addr) is request
@@ -851,6 +709,30 @@ class DRAMControllerEngine:
     def indexed_requests(self, channel_id: int) -> Dict[int, MemRequest]:
         """Snapshot of the line-address index (used by validation)."""
         return dict(self._index[channel_id])
+
+    def census_counts(
+        self, channel_id: int
+    ) -> Optional[Tuple[List[int], List[int]]]:
+        """Per-core queued (demand, prefetch) counts, or ``None`` if not kept.
+
+        Snapshot for validation; only ranking policies on the fast round
+        keep the census.
+        """
+        if self._census_demand is None:
+            return None
+        return (
+            list(self._census_demand[channel_id]),
+            list(self._census_prefetch[channel_id]),
+        )
+
+    def row_refcounts(self, channel_id: int) -> Optional[List[Dict[int, int]]]:
+        """Per-bank queued-request counts by row, or ``None`` if not kept.
+
+        Snapshot for validation; only the closed-row policy keeps them.
+        """
+        if self._row_refs is None:
+            return None
+        return [dict(refs) for refs in self._row_refs[channel_id]]
 
     def total_lines_transferred(self) -> int:
         return sum(channel.lines_transferred for channel in self.channels)

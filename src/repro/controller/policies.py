@@ -9,13 +9,16 @@ priority order two ways:
   ties fall back to oldest-first (FCFS) and then to admission order.
 * :meth:`SchedulingPolicy.priority_key` — the *packed* form: the same
   order collapsed into one integer (see :mod:`repro.controller.cost` for
-  the bit layout).  The engine caches packed keys on the requests and
-  only recomputes them when :attr:`epoch` or the bank's open-row
-  generation moves, which is what makes the scheduling hot path
-  allocation-free (DESIGN.md §10).
+  the bit layout).  The engine caches each request's packed key for both
+  row-buffer outcomes and recomputes it only when :attr:`epoch` moves or
+  the request is promoted (DESIGN.md §10).  A ranking policy's core rank
+  moves almost every round, so it stays out of the cached key: the
+  policy publishes :attr:`SchedulingPolicy.rank_add`, which the round
+  adds when it compares.
 
 The two forms are totally ordered identically — the golden-equivalence
-tests pin ``priority_key`` to ``priority`` policy by policy.
+tests and a hypothesis property pin the packed key (plus ``rank_add``)
+to ``priority`` policy by policy.
 
 * ``demand-first`` — demands over prefetches, then row-hit, then FCFS.
   This is the paper's baseline.
@@ -29,7 +32,7 @@ tests pin ``priority_key`` to ``priority`` policy by policy.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.controller.accuracy import PrefetchAccuracyTracker
 from repro.controller.cost import FCFS_BITS
@@ -42,8 +45,8 @@ class SchedulingPolicy:
     ``epoch`` stamps the validity of every packed key cached on a request:
     a policy bumps it whenever *any* input to ``priority_key`` other than
     the request itself or the bank's open row changes (accuracy-interval
-    boundaries, rank recomputations, batch formation).  Per-request
-    changes (promotion) instead invalidate that request's own cache.
+    boundaries, PAR-BS batch formation).  Per-request changes (promotion)
+    instead invalidate that request's own cache.
     """
 
     name = "abstract"
@@ -72,6 +75,17 @@ class SchedulingPolicy:
     #: engine computes one key per request and derives the other with a
     #: single add (DESIGN.md §10).
     hit_delta = 0
+
+    #: Per-core offsets applied at selection time, or ``None``.  A
+    #: ranking policy (APS Rule 2) keeps its per-round core rank out of
+    #: ``priority_key`` and publishes it here, already shifted into the
+    #: key's rank field; the fast round adds ``rank_add[core]`` to every
+    #: key that carries the C bit, i.e. is at least :attr:`critical_bit`
+    #: (C is the top flag).  Republishing it invalidates no cached key.
+    rank_add: Optional[List[int]] = None
+
+    #: The C flag's value in a packed key (used with :attr:`rank_add`).
+    critical_bit = 0
 
     def __init__(self):
         self.epoch = 0

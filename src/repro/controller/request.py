@@ -13,10 +13,12 @@ Each request carries the fields of the paper's Figure 5/18:
 Scheduling hot path (DESIGN.md §10): ``seq`` is a controller-assigned
 admission sequence number that breaks every priority tie, and
 ``prio_base``/``prio_hit``/``prio_stamp`` cache the packed integer
-priority key for both row-buffer outcomes so the engine only recomputes
-them when the policy's key epoch has moved.  ``promote()`` invalidates
-the cache — a cleared P bit changes the key under every prefetch-aware
-policy.
+priority key for both row-buffer outcomes.  A request is admitted
+unkeyed; the first round that scans its bank keys it, and later rounds
+recompute the keys only when the policy's key epoch has moved.
+``promote()`` invalidates the cache — a cleared P bit changes the key
+under every prefetch-aware policy.  APS-rank's per-round core rank is
+never cached: the round applies it when it compares.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class MemRequest:
         self.prio_hit = 0
         self.prio_stamp = -1
         # Index of this request in its bank queue (-1 = not queued),
-        # maintained by the engine for O(1) swap-pop removal.
+        # maintained by the fast round for O(1) swap-pop removal.
         self.qpos = -1
 
     def age(self, now: int) -> int:

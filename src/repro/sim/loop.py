@@ -83,18 +83,9 @@ def run_loop(
         engine.dropper.drop_deadline if engine.dropper is not None else None
     )
     e_row_refs = engine._row_refs
-    e_base_heaps = engine._base_heaps
-    e_row_buckets = engine._row_buckets
-    e_bank_epoch = engine._bank_epoch
     e_census_d = engine._census_demand
     e_census_p = engine._census_prefetch
     e_stats = engine.stats
-    e_policy = engine.policy
-    # priority_key / hit_delta are fixed at policy construction (only the
-    # epoch moves at interval boundaries), so the keying fork below can
-    # bind them once.
-    e_priority_key = e_policy.priority_key
-    e_hit_delta = e_policy.hit_delta
     e_channels = engine.channels
     buffer_size = engine.config.request_buffer_size
     dec_lines = engine._dec_lines
@@ -154,9 +145,9 @@ def run_loop(
 
     def admit(request, channel, bank_idx):
         # Fork of DRAMControllerEngine._admit with the engine state
-        # prebound.  A reference engine keeps no census and never builds
-        # bank heaps (its bank epochs stay -1), so the keyed push and the
-        # census update below are skipped there, as _admit skips them.
+        # prebound.  The request arrives unkeyed; the next scheduling
+        # round that scans its bank keys it.  A reference engine keeps no
+        # census, so the census update below is skipped there.
         queue = e_queues[channel][bank_idx]
         request.qpos = len(queue)
         queue.append(request)
@@ -170,21 +161,6 @@ def run_loop(
         if e_row_refs is not None:
             refs = e_row_refs[channel][bank_idx]
             refs[request.row] = refs.get(request.row, 0) + 1
-        epoch = e_policy.epoch
-        if e_bank_epoch[channel][bank_idx] == epoch:
-            # Fork of DRAMControllerEngine._push_keyed.
-            key = e_priority_key(request, False)
-            request.prio_base = key
-            hit_key = key + e_hit_delta
-            request.prio_hit = hit_key
-            request.prio_stamp = epoch
-            heappush(e_base_heaps[channel][bank_idx], (-key, request))
-            buckets = e_row_buckets[channel][bank_idx]
-            row = request.row
-            bucket = buckets.get(row)
-            if bucket is None:
-                buckets[row] = bucket = []
-            heappush(bucket, (-hit_key, request))
         if e_census_d is not None:
             if request.is_prefetch:
                 e_census_p[channel][request.core_id] += 1
@@ -362,9 +338,10 @@ def run_loop(
             if mshr_entry is not None:
                 request = mshr_entry.request
                 if request.is_prefetch:
+                    # promote() drops the cached keys; note_promotion moves
+                    # the request across the rank census (no-op if it
+                    # already left the request buffer).
                     request.promote()
-                    # Re-key the request in the scheduler's selection heap
-                    # (no-op if it already left the request buffer).
                     note_promotion(request)
                     mshr_entry.promoted_late = True
                     count_useful(request.core_id, line, None, True)

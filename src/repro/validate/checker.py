@@ -17,6 +17,12 @@ The audited laws (see DESIGN.md §7 for the why):
   the bank-queue lengths, never exceeds the buffer size, and the
   line-address index is a bijection onto the queued non-writeback
   requests (the promotion path cannot lie).
+* **Round bookkeeping** — what the fast scheduling round trusts instead
+  of rescanning: every queued request's ``qpos`` is its queue index
+  (swap-pop removes by it), the per-core demand/prefetch census (the
+  rank's only input) and the closed-row per-row refcounts match the
+  queues, and a request stamped with the current key epoch carries the
+  keys ``priority_key`` gives it now.
 * **MSHR** — occupancy equals lifetime allocations minus frees, never
   exceeds capacity, and every queued read/prefetch has a live MSHR entry
   pointing back at that exact request.
@@ -84,6 +90,7 @@ class InvariantChecker:
     def audit(self, phase: str, now: int) -> None:
         violations: List[str] = []
         violations += self._check_buffers()
+        violations += self._check_round_bookkeeping()
         violations += self._check_lifecycle()
         violations += self._check_mshr()
         violations += self._check_core_counters(phase, now)
@@ -160,6 +167,54 @@ class InvariantChecker:
                     f"ch{channel_id}: overflow FIFO holds {len(overflow)} "
                     f"requests while the buffer has free entries "
                     f"({occupancy}/{buffer_size})"
+                )
+        return out
+
+    def _check_round_bookkeeping(self) -> List[str]:
+        engine = self.system.engine
+        policy = engine.policy
+        epoch = policy.epoch
+        num_cores = self.system.config.num_cores
+        out: List[str] = []
+        for channel_id in range(engine.config.num_channels):
+            census = engine.census_counts(channel_id)
+            row_refs = engine.row_refcounts(channel_id)
+            demands = [0] * num_cores
+            prefetches = [0] * num_cores
+            for bank_idx, queue in enumerate(engine.bank_queues(channel_id)):
+                rows: Dict[int, int] = {}
+                for position, request in enumerate(queue):
+                    # The reference round removes by value, not by qpos.
+                    if not engine.reference and request.qpos != position:
+                        out.append(
+                            f"ch{channel_id}/bank{bank_idx}: qpos "
+                            f"{request.qpos} != queue index {position} for "
+                            f"{request!r}"
+                        )
+                    if request.prio_stamp == epoch:
+                        key = policy.priority_key(request, False)
+                        if (
+                            request.prio_base != key
+                            or request.prio_hit != key + policy.hit_delta
+                        ):
+                            out.append(
+                                f"ch{channel_id}: cached key of {request!r} "
+                                f"stamped with epoch {epoch} is stale"
+                            )
+                    rows[request.row] = rows.get(request.row, 0) + 1
+                    if request.is_prefetch:
+                        prefetches[request.core_id] += 1
+                    else:
+                        demands[request.core_id] += 1
+                if row_refs is not None and row_refs[bank_idx] != rows:
+                    out.append(
+                        f"ch{channel_id}/bank{bank_idx}: row refcounts "
+                        f"{row_refs[bank_idx]} != queued rows {rows}"
+                    )
+            if census is not None and census != (demands, prefetches):
+                out.append(
+                    f"ch{channel_id}: census (demands, prefetches) {census} "
+                    f"!= queued {(demands, prefetches)}"
                 )
         return out
 

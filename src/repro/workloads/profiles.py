@@ -31,6 +31,7 @@ Knob semantics:
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -186,8 +187,10 @@ def get_profile(name: str) -> BenchmarkProfile:
     try:
         return _BY_NAME[name]
     except KeyError:
+        close = difflib.get_close_matches(str(name), list(_BY_NAME), n=3)
+        hint = f" (did you mean {', '.join(close)}?)" if close else ""
         raise KeyError(
-            f"unknown benchmark {name!r}; known: {sorted(_BY_NAME)}"
+            f"unknown benchmark {name!r}{hint}; known: {sorted(_BY_NAME)}"
         ) from None
 
 

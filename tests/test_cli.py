@@ -43,6 +43,29 @@ class TestSimulateCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--policy", "padc-rnak"], "did you mean padc-rank"),
+            (["--cores", "2", "--benchmarks", "swim_00,swimm"], "did you mean swim"),
+            (["--benchmarks", "trace:nosuch"], "unknown trace 'nosuch'"),
+            (["--channels", "0"], "num_channels must be positive"),
+            (["--prefetcher", "bogus"], "unknown prefetcher_kind 'bogus'"),
+        ],
+    )
+    def test_bad_input_exits_2_without_traceback(self, capsys, flags, message):
+        argv = ["simulate", "--benchmarks", "swim", "--accesses", "100"]
+        code = main(argv + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_help_lists_every_policy_spelling(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "padc-rank" in capsys.readouterr().out
+
     def test_variant_flags(self, capsys):
         code = main(
             [

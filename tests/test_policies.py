@@ -1,6 +1,8 @@
 """Tests for rigid scheduling policies and APS priority ordering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.accuracy import PrefetchAccuracyTracker
 from repro.controller.aps import AdaptivePrefetchScheduler
@@ -11,6 +13,7 @@ from repro.controller.policies import (
     make_policy,
 )
 from repro.controller.request import MemRequest
+from repro.params import POLICY_TABLE
 
 
 def request(is_prefetch, arrival, core=0):
@@ -162,3 +165,62 @@ class TestMakePolicy:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             make_policy("magic")
+
+
+# -- packed key vs tuple ---------------------------------------------------
+
+CORES = 3
+
+# (core, is_prefetch, arrival, row hit)
+request_fields = st.tuples(
+    st.integers(min_value=0, max_value=CORES - 1),
+    st.booleans(),
+    st.integers(min_value=0, max_value=1_000),
+    st.booleans(),
+)
+per_core_counts = st.lists(
+    st.integers(min_value=0, max_value=256), min_size=CORES, max_size=CORES
+)
+
+
+def packed(policy, request, row_hit):
+    """The key the fast round compares (DESIGN.md §10)."""
+    key = policy.priority_key(request, row_hit)
+    if policy.rank_add is not None and key >= policy.critical_bit:
+        key += policy.rank_add[request.core_id]
+    return key
+
+
+class TestPackedKeyOrdersLikePriority:
+    """The packed key plus ``rank_add`` orders requests as ``priority`` does."""
+
+    @pytest.mark.parametrize("name", sorted(POLICY_TABLE))
+    @given(
+        drawn=st.lists(request_fields, min_size=2, max_size=8),
+        critical=st.lists(st.booleans(), min_size=CORES, max_size=CORES),
+        demands=per_core_counts,
+        prefetches=per_core_counts,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_order(self, name, drawn, critical, demands, prefetches):
+        tracker = PrefetchAccuracyTracker(num_cores=CORES)
+        tracker.prefetch_critical[:] = critical
+        policy = make_policy(name, tracker, num_cores=CORES)
+        candidates = [
+            (MemRequest(seq, core, is_prefetch, arrival, 0, 0, 0, seq=seq), hit)
+            for seq, (core, is_prefetch, arrival, hit) in enumerate(drawn, start=1)
+        ]
+        if policy.census_based:
+            policy.begin_tick_census(demands, prefetches)
+        else:
+            # PAR-BS marks and ranks from the queue: pad it with each
+            # core's drawn demand count (at most 8, above the marking cap).
+            queue = [request for request, _ in candidates]
+            for core, count in enumerate(demands):
+                for _ in range(count % 9):
+                    seq = len(queue) + 1
+                    queue.append(MemRequest(seq, core, False, seq, 0, 0, 0, seq=seq))
+            policy.begin_tick([queue], now=0)
+        by_key = sorted(candidates, key=lambda pair: packed(policy, *pair))
+        by_tuple = sorted(candidates, key=lambda pair: policy.priority(*pair))
+        assert by_key == by_tuple

@@ -2,7 +2,7 @@
 
 Both backends run the one simulation loop (DESIGN.md §11); the event
 backend's fast scheduling round (cached packed keys, epoch
-invalidation, bucket heaps, swap-pop — DESIGN.md §10) must be
+invalidation, one scan per bank, swap-pop — DESIGN.md §10) must be
 observationally identical to the reference round that re-derives every
 priority each round.  These tests pin
 ``SimResult.to_dict()`` equality across the backend × policy ×
@@ -86,7 +86,7 @@ def test_backends_match_reference_with_refresh(policy):
 def test_backends_match_reference_multichannel_ranked(policy):
     # Two channels exercise per-channel tick interleaving (the event
     # backend keeps one fused ticker and stale-tick map per channel);
-    # the -rank policies layer the dense-rank census on top.
+    # the -rank policies layer the per-channel rank census on top.
     mix = VERIFY_MIXES[1]
     config = baseline_config(
         num_cores=len(mix), policy=policy, num_channels=2, permutation=True
@@ -103,7 +103,9 @@ class TestRoundsPinned:
     macrobench mix at tiny scale (1,500 accesses per core, seed 7): a
     behavioral change that inflates round count (extra no-op wakes, a
     round run for a superseded tick) breaks the pin even when
-    byte-identity still holds.
+    byte-identity still holds.  It also pins the key epoch to the
+    number of interval boundaries: the core rank is applied at selection
+    time, so it never invalidates a cached key.
     Regenerate the constants by running the test body if the simulation
     semantics legitimately change (CACHE_VERSION bump).
     """
@@ -119,6 +121,9 @@ class TestRoundsPinned:
         result = system.run(1_500)
         assert system.engine.stats.rounds == self.PINNED_ROUNDS
         assert result.total_cycles == self.PINNED_CYCLES
+        # Only interval boundaries move the key epoch: a core reorder
+        # never invalidates cached keys.
+        assert system.engine.policy.epoch == len(system.tracker.history[0])
 
 
 # -- epoch invalidation ----------------------------------------------------
@@ -182,6 +187,15 @@ class TestEpochInvalidation:
         epoch = engine.policy.epoch
         assert prefetch.prio_stamp == epoch
         key_as_prefetch = prefetch.prio_base
+        # A younger demand to another row of the same bank: it outranks
+        # the prefetch's cached key, but not the promoted request, whose
+        # row the serviced demand left open.
+        line = 0x200
+        while True:
+            line = _same_bank_line(engine, line)
+            if engine.mapping.decode_coords(line)[2] != prefetch.row:
+                break
+        _add(engine, line, now=2)
 
         # A matching demand arrives: promote the in-flight prefetch.
         promoted = engine.find_queued(0x200, 0)
@@ -189,14 +203,15 @@ class TestEpochInvalidation:
         promoted.promote()
         assert promoted.prio_stamp == -1  # cache invalidated
         engine.note_promotion(promoted)
-        # Re-keyed immediately (the engine's heaps stay coherent) with a
-        # strictly higher key: the P bit cleared under demand-first.
-        assert promoted.prio_stamp == epoch
-        assert promoted.prio_base > key_as_prefetch
 
+        # The next round re-keys it under the current epoch with a
+        # strictly higher key (the P bit cleared under demand-first) and
+        # services it.
         free_at = engine.channels[0].banks[promoted.bank].busy_until
         serviced, _ = engine.tick(0, free_at)
-        assert promoted in serviced
+        assert serviced == [promoted]
+        assert promoted.prio_stamp == epoch
+        assert promoted.prio_base > key_as_prefetch
 
     def test_hit_delta_matches_priority_key(self):
         # The cached hit key must equal priority_key(request, True) for

@@ -190,6 +190,73 @@ class TestCorruptionDetection:
             system.run(5_000)
 
 
+class TestRoundBookkeepingDetection:
+    """One corruption per law the fast scheduling round relies on.
+
+    Each corruption is injected at the first interval boundary whose
+    state allows it (requests queued) and must fail that boundary's audit.
+    """
+
+    def corrupt(self, mutate, match):
+        config = small_config(
+            "padc",
+            num_cores=2,
+            padc=PADCConfig(accuracy_interval=5_000, use_ranking=True),
+            dram=DRAMConfig(request_buffer_size=16, open_row_policy=False),
+        )
+        system = System(config, ["swim", "art"], check=True)
+        audit = system.checker.on_interval
+        injected = []
+
+        def sabotage(now):
+            queued = system.engine.queued_requests(0)
+            if not injected and queued and mutate(system, queued):
+                injected.append(now)
+            audit(now)
+
+        system.checker.on_interval = sabotage
+        with pytest.raises(InvariantViolation, match=match):
+            system.run(4_000)
+        assert injected
+
+    def test_queue_position_corruption(self):
+        def mutate(system, queued):
+            queued[0].qpos += 1
+            return True
+
+        self.corrupt(mutate, "qpos")
+
+    def test_census_corruption(self):
+        def mutate(system, queued):
+            system.engine._census_demand[0][queued[0].core_id] += 1
+            return True
+
+        self.corrupt(mutate, "census")
+
+    def test_row_refcount_corruption(self):
+        def mutate(system, queued):
+            request = queued[0]
+            system.engine._row_refs[0][request.bank][request.row] += 1
+            return True
+
+        self.corrupt(mutate, "row refcounts")
+
+    def test_stale_key_under_current_epoch(self):
+        # A core's criticality flips without an epoch bump: keys cached
+        # under the current epoch no longer match priority_key.
+        def mutate(system, queued):
+            epoch = system.engine.policy.epoch
+            stamped = [r for r in queued if r.prio_stamp == epoch]
+            if not stamped:
+                return False
+            critical = system.tracker.prefetch_critical
+            core = stamped[0].core_id
+            critical[core] = not critical[core]
+            return True
+
+        self.corrupt(mutate, "cached key")
+
+
 class TestDifferentialHarness:
     def test_rigid_audit_passes_and_detects_tamper(self):
         results = differential_audit(["swim"], accesses=600)
