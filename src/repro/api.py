@@ -233,15 +233,12 @@ class Campaign:
         start claiming.  ``root`` overrides the campaigns root the
         default directory is derived under.
         """
-        from pathlib import Path
-
         from repro.campaign import executor as _executor
         from repro.campaign.worker import job_meta
 
         spec = _coerce_spec(spec)
         if directory is None:
-            base = Path(root) if root is not None else _executor.campaigns_root()
-            directory = base / f"{spec.name}-{spec.fingerprint()[:12]}"
+            directory = _executor.default_directory(spec, root)
         created = _executor.Campaign.create(spec, directory)
         created.ledger.ensure_jobs(
             [(job.key, job_meta(job)) for job in created.unique_jobs()]

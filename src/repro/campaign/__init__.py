@@ -1,6 +1,5 @@
 """Sweep-orchestration subsystem: validated specs, a persistent job
-store, and resumable fault-tolerant execution — single-process or
-multi-worker.
+store, and resumable fault-tolerant execution by any number of workers.
 
 Layered on :mod:`repro.runtime`, in six parts:
 
@@ -14,13 +13,15 @@ Layered on :mod:`repro.runtime`, in six parts:
   ``failed`` with timings and errors), atomic job claims with worker
   leases and heartbeat renewal so a SIGKILL'd worker's jobs are
   reclaimed, and the streamed telemetry samples;
-* :mod:`repro.campaign.executor` — :class:`CampaignRunner` and
-  :func:`submit`: fault-isolated execution with bounded retries where a
-  crashing job records its traceback and its siblings finish, plus
-  resume that re-runs only unfinished work;
+* :mod:`repro.campaign.executor` — :func:`drain` and :func:`submit`:
+  resume that serves finished jobs from the result store and reopens
+  the rest, then runs the worker loop in this process or in a pool of
+  worker processes;
 * :mod:`repro.campaign.worker` — the pull-based worker loop
-  (claim → execute → persist → mark done) any number of processes or
-  machines run concurrently against one job store;
+  (claim → execute → persist → mark done) that executes every campaign
+  job: fault-isolated, with bounded retries (a crashing job records its
+  traceback and its siblings finish), run concurrently by any number of
+  processes or machines against one job store;
 * :mod:`repro.campaign.service` — a stdlib JSON-over-HTTP front-end
   (POST a spec, GET status/export) routed through :mod:`repro.api`;
 * :mod:`repro.campaign.report` — status summaries and deterministic
@@ -57,9 +58,9 @@ from repro.campaign.executor import (
     Campaign,
     CampaignError,
     CampaignRun,
-    CampaignRunner,
     campaigns_root,
     default_directory,
+    drain,
     submit,
 )
 
@@ -70,7 +71,6 @@ __all__ = [
     "CampaignError",
     "CampaignJob",
     "CampaignRun",
-    "CampaignRunner",
     "CampaignSpec",
     "Claim",
     "JobState",
@@ -81,6 +81,7 @@ __all__ = [
     "WorkerStats",
     "campaigns_root",
     "default_directory",
+    "drain",
     "expand",
     "fold_records",
     "run_worker",

@@ -8,17 +8,18 @@ Usage::
     python -m repro.campaign resume <campaign-dir> -j 8
     python -m repro.campaign export <campaign-dir> --format csv -o out.csv
 
-Multi-worker execution (shared job store with lease-based crash
-reclaim)::
+``run`` and ``resume`` with ``-j N`` start N workers on the campaign's
+job store (one, in this process, by default).  Workers on other
+machines can share it (lease-based crash reclaim)::
 
     python -m repro.campaign create --name paper
     python -m repro.campaign worker <campaign-dir> &   # as many as you like,
     python -m repro.campaign worker <campaign-dir>     # on any machine
     python -m repro.campaign serve --port 8642         # JSON API + dashboard
 
-Pass ``--stream`` to ``worker`` (or to a serial ``run``/``resume``) to
-stream per-interval telemetry into the campaign store while jobs run;
-``serve`` then renders it live at ``/dashboard`` (DESIGN.md §14).
+Pass ``--stream`` to ``worker``, ``run`` or ``resume`` (at any ``-j``)
+to stream per-interval telemetry into the campaign store while jobs
+run; ``serve`` then renders it live at ``/dashboard`` (DESIGN.md §14).
 Streaming never changes results, cache keys or exports.
 
 ``run`` prints the campaign directory it used; ``status``/``resume``/
@@ -47,12 +48,7 @@ import threading
 from pathlib import Path
 from typing import List, Optional
 
-from repro.campaign.executor import (
-    Campaign,
-    CampaignError,
-    CampaignRunner,
-    default_directory,
-)
+from repro.campaign.executor import Campaign, CampaignError, drain
 from repro.campaign.jobstore import DEFAULT_LEASE
 from repro.campaign.report import status_summary
 from repro.campaign.spec import CampaignSpec, SpecError
@@ -80,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--limit",
-        type=int,
+        type=_number(int),
         default=None,
         help="run at most N jobs then stop (smoke/testing hook; the rest stay pending)",
     )
@@ -101,7 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     resume = sub.add_parser("resume", help="re-run only pending/failed jobs")
     resume.add_argument("directory", help="campaign directory")
-    resume.add_argument("--limit", type=int, default=None, help=argparse.SUPPRESS)
+    resume.add_argument(
+        "--limit", type=_number(int), default=None, help=argparse.SUPPRESS
+    )
     _add_execution_flags(resume)
 
     worker = sub.add_parser(
@@ -117,26 +115,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--lease",
-        type=float,
+        type=_number(float, positive=True),
         default=DEFAULT_LEASE,
         help="claim lease in seconds; a dead worker's job is reclaimed "
         "this long after its last heartbeat (default: %(default)s)",
     )
     worker.add_argument(
         "--poll",
-        type=float,
+        type=_number(float),
         default=0.5,
         help="seconds to sleep when no job is claimable (default: %(default)s)",
     )
     worker.add_argument(
         "--max-jobs",
-        type=int,
+        type=_number(int),
         default=None,
         help="exit after claiming N jobs (testing hook)",
     )
     worker.add_argument(
         "--throttle",
-        type=float,
+        type=_number(float),
         default=0.0,
         help="sleep N seconds after each claim before executing "
         "(rate-limiting / lease-reclaim smoke hook)",
@@ -149,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--retries",
-        type=int,
+        type=_number(int),
         default=1,
         help="extra attempts per failing job before its failure is final",
     )
@@ -189,6 +187,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(kind, positive: bool = False):
+    """argparse type: a ``kind`` value >= 0, or > 0 when ``positive``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 if positive else value >= 0):
+            bound = "> 0" if positive else ">= 0"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
 def _add_spec_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -212,7 +224,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_number(int),
         default=1,
         help="extra attempts per failing job before its failure is final",
     )
@@ -220,7 +232,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--stream",
         action="store_true",
         help="stream per-interval telemetry samples into the campaign "
-        "store while jobs run (serial only; results unchanged)",
+        "store while jobs run (results unchanged)",
     )
 
 
@@ -249,32 +261,35 @@ def _load_spec(args) -> CampaignSpec:
     return CampaignSpec.from_dict(payload)
 
 
-def _finish_run(campaign: Campaign, run) -> int:
+def _drain(campaign: Campaign, runtime, args) -> int:
+    run = drain(
+        campaign,
+        runtime=runtime,
+        retries=args.retries,
+        stream=args.stream,
+        limit=args.limit,
+    )
     print(status_summary(campaign))
     print(f"campaign directory: {campaign.directory}")
     return 1 if run.incomplete() else 0
 
 
 def _cmd_run(args) -> int:
+    # The runtime comes first: its result store roots the default directory.
     runtime = _runtime(args)
-    spec = _load_spec(args)
-    directory = Path(args.dir) if args.dir else default_directory(spec, runtime.store.root)
-    campaign = Campaign.create(spec, directory)
+    campaign = Campaign.create(_load_spec(args), args.dir)
     store = campaign.ledger
     if store.exists() and store.records():
         if args.fresh:
             store.clear()
         elif not args.resume:
             print(
-                f"error: {directory} already has a job history; "
+                f"error: {campaign.directory} already has a job history; "
                 "pass --resume to continue it or --fresh to start over",
                 file=sys.stderr,
             )
             return 2
-    run = CampaignRunner(
-        campaign, runtime=runtime, retries=args.retries, stream=args.stream
-    ).run(resume=True, limit=args.limit)
-    return _finish_run(campaign, run)
+    return _drain(campaign, runtime, args)
 
 
 def _cmd_create(args) -> int:
@@ -298,11 +313,7 @@ def _cmd_status(args) -> int:
 
 def _cmd_resume(args) -> int:
     runtime = _runtime(args)
-    campaign = Campaign.open(args.directory)
-    run = CampaignRunner(
-        campaign, runtime=runtime, retries=args.retries, stream=args.stream
-    ).run(resume=True, limit=args.limit)
-    return _finish_run(campaign, run)
+    return _drain(Campaign.open(args.directory), runtime, args)
 
 
 def _cmd_worker(args) -> int:

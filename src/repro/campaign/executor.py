@@ -16,6 +16,12 @@ What it adds over ``Runtime.run_many`` is the campaign contract:
   result store, so an interrupted-then-resumed campaign performs no
   duplicate simulation work and exports bit-for-bit the same results.
 
+:func:`drain` runs every campaign.  It serves finished jobs from
+the result store and runs the lease-based worker loop of
+:mod:`repro.campaign.worker`, which journals and isolates every job, in
+this process or in a pool of worker processes — the loop ``python -m
+repro.campaign worker`` runs on other machines.
+
 Job states live in the campaign's :class:`~repro.campaign.jobstore
 .SqliteJobStore` (``jobs.sqlite``).  A directory without one — written
 by an older build that journaled elsewhere — simply starts with every
@@ -31,17 +37,22 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.jobstore import DB_NAME, JobState, SqliteJobStore, status_counts
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand, unique_jobs
-from repro.runtime import JobExecutionError, config_fingerprint, execute_job, get_runtime
+from repro.campaign.worker import run_worker
+from repro.runtime import get_runtime
 from repro.sim.results import SimResult
 
 SPEC_FILE = "campaign.json"
+
+# Seconds a drain worker sleeps while siblings hold every open claim.
+# Drain workers share one host and finish together, so the last job's
+# siblings should notice it is done at once.
+DRAIN_POLL = 0.05
 
 
 class CampaignError(RuntimeError):
@@ -59,13 +70,15 @@ def campaigns_root(store_root=None) -> Path:
     return Path(store_root) / "campaigns"
 
 
-def default_directory(spec: CampaignSpec, store_root=None) -> Path:
+def default_directory(spec: CampaignSpec, root=None) -> Path:
     """Canonical directory for a spec: ``<root>/<name>-<fingerprint12>``.
 
+    ``root`` is the campaigns root (default :func:`campaigns_root`).
     The fingerprint suffix means the same campaign name at a different
     scale/grid gets its own job store instead of clashing.
     """
-    return campaigns_root(store_root) / f"{spec.name}-{spec.fingerprint()[:12]}"
+    root = Path(root) if root is not None else campaigns_root()
+    return root / f"{spec.name}-{spec.fingerprint()[:12]}"
 
 
 def _write_json_exclusive(path: Path, payload: Dict) -> None:
@@ -265,205 +278,61 @@ class CampaignRun:
         return ipcs
 
 
-def _worker_execute(job) -> Tuple[int, SimResult]:
-    """Worker-side entry point: result plus the pid that computed it."""
-    return os.getpid(), execute_job(job)
+def _stored_results(keys, states: Dict[str, JobState], store) -> Dict[str, SimResult]:
+    """Results of the ``done`` jobs among ``keys`` that ``store`` still holds."""
+    results: Dict[str, SimResult] = {}
+    for key in keys:
+        state = states.get(key)
+        if state is not None and state.status == "done":
+            hit = store.get(key)
+            if hit is not None:
+                results[key] = hit
+    return results
 
 
-def _error_text(error: BaseException) -> str:
-    if isinstance(error, JobExecutionError):
-        return str(error)
-    return f"{type(error).__name__}: {error}"
+def drain(
+    campaign: Campaign,
+    runtime=None,
+    retries: int = 1,
+    stream: bool = False,
+    limit: Optional[int] = None,
+) -> CampaignRun:
+    """Drive a campaign to completion; returns the (possibly partial) run.
 
-
-class CampaignRunner:
-    """Drives a campaign to completion on top of the process-wide runtime.
-
-    ``stream=True`` streams per-interval telemetry samples into the
-    ``samples`` table of the campaign's store while each job runs.
-    Streaming is serial-only here — the collector cannot cross the
-    process-pool boundary; multi-process streaming is the job of
-    ``python -m repro.campaign worker --stream``.
+    A ``done`` job whose result is in the store is served from it.
+    Every other job — ``failed``, a ``done`` one whose result was
+    evicted, or one not run yet — goes back to ``pending`` with a fresh
+    budget of ``retries`` extra attempts, and :func:`~repro.campaign
+    .worker.run_worker` drains the job store: in this process when the
+    runtime has one worker or ``limit`` is set, else in one process per
+    worker (at most one per job).  ``limit`` claims at most that many
+    jobs and leaves the rest pending — the hook the CI smoke job uses to
+    emulate a mid-run kill.  ``stream=True`` streams per-interval
+    telemetry into the job store from every worker.
     """
-
-    def __init__(
-        self, campaign: Campaign, runtime=None, retries: int = 1, stream: bool = False
-    ):
-        self.campaign = campaign
-        self.runtime = runtime or get_runtime()
-        self.retries = max(0, int(retries))
-        self.stream = bool(stream)
-
-    # -- journal plumbing -----------------------------------------------------
-
-    def _record(self, job: CampaignJob, status: str, attempt: int, **extra) -> None:
-        self.campaign.ledger.append(
-            {
-                "key": job.key,
-                "status": status,
-                "attempt": attempt,
-                "job": {
-                    "kind": job.kind,
-                    "benchmarks": list(job.benchmarks),
-                    "policy": job.policy,
-                    "variant": job.variant,
-                    "seed": job.seed,
-                    "workload_index": job.workload_index,
-                    "config_fingerprint": config_fingerprint(job.job.config),
-                },
-                **extra,
-            }
-        )
-
-    # -- execution ------------------------------------------------------------
-
-    def run(self, resume: bool = True, limit: Optional[int] = None) -> CampaignRun:
-        """Execute the campaign; returns the (possibly partial) run.
-
-        ``resume=True`` (the default) skips jobs whose journaled state is
-        ``done`` and whose result is present in the store.  ``limit``
-        executes at most that many jobs and leaves the rest pending —
-        the hook the CI smoke job uses to emulate a mid-run kill.
-        """
-        store = self.runtime.store
-        jobs = self.campaign.unique_jobs()
-        states = self.campaign.ledger.fold() if resume else {}
-        results: Dict[str, SimResult] = {}
-        todo: List[CampaignJob] = []
-        for job in jobs:
-            state = states.get(job.key)
-            if state is not None and state.status == "done":
-                hit = store.get(job.key)
-                if hit is not None:
-                    results[job.key] = hit
-                    continue
-                # A done record whose result was evicted: run it again.
-            todo.append(job)
-        run_list = todo if limit is None else todo[: max(0, int(limit))]
-        if run_list:
-            workers = min(self.runtime.jobs, len(run_list))
-            if workers > 1:
-                if self.stream:
-                    raise CampaignError(
-                        "telemetry streaming needs a serial runner (--jobs 1) "
-                        "or the multi-worker path (python -m repro.campaign "
-                        "worker --stream): a live collector cannot cross the "
-                        "process-pool boundary"
-                    )
-                self._run_parallel(run_list, results, store, workers)
-            else:
-                self._run_serial(run_list, results, store)
-        return CampaignRun(self.campaign, results)
-
-    def _finish(self, job, attempt, result, store, started, cached, worker) -> SimResult:
-        store.put(job.key, result)
-        self._record(
-            job,
-            "done",
-            attempt,
-            elapsed=round(time.perf_counter() - started, 6),
-            cached=cached,
-            worker=worker,
-        )
-        return result
-
-    def _fail(self, job, attempt, error, started, worker) -> None:
-        self._record(
-            job,
-            "failed",
-            attempt,
-            elapsed=round(time.perf_counter() - started, 6),
-            error=_error_text(error),
-            worker=worker,
-        )
-
-    def _run_serial(self, run_list, results, store) -> None:
-        ledger = self.campaign.ledger
-        for job in run_list:
-            for attempt in range(1, self.retries + 2):
-                self._record(job, "running", attempt, worker=os.getpid())
-                started = time.perf_counter()
-                hit = store.get(job.key)
-                if hit is not None:
-                    if self.stream and hit.trace is not None:
-                        from repro.telemetry.stream import records_from_trace
-
-                        ledger.clear_samples(job.key)
-                        ledger.append_samples(
-                            job.key, records_from_trace(hit.trace)
-                        )
-                    results[job.key] = self._finish(
-                        job, attempt, hit, store, started, True, os.getpid()
-                    )
-                    break
-                try:
-                    if self.stream:
-                        from repro.telemetry.stream import streamed_execute
-
-                        if attempt > 1:
-                            ledger.clear_samples(job.key)
-                        result = streamed_execute(job.job, ledger, job.key)
-                    else:
-                        _, result = _worker_execute(job.job)
-                except Exception as error:  # noqa: BLE001 - isolation is the point
-                    self._fail(job, attempt, error, started, os.getpid())
-                else:
-                    results[job.key] = self._finish(
-                        job, attempt, result, store, started, False, os.getpid()
-                    )
-                    break
-
-    def _run_parallel(self, run_list, results, store, workers) -> None:
-        attempts = {job.key: 0 for job in run_list}
-        by_key = {job.key: job for job in run_list}
-        started_at: Dict[str, float] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            def submit(job: CampaignJob):
-                attempts[job.key] += 1
-                self._record(job, "running", attempts[job.key], worker=None)
-                started_at[job.key] = time.perf_counter()
-                hit = store.get(job.key)
-                if hit is not None:
-                    results[job.key] = self._finish(
-                        job,
-                        attempts[job.key],
-                        hit,
-                        store,
-                        started_at[job.key],
-                        True,
-                        None,
-                    )
-                    return None
-                return pool.submit(_worker_execute, job.job)
-
-            pending = {}
-            for job in run_list:
-                future = submit(job)
-                if future is not None:
-                    pending[future] = job.key
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    key = pending.pop(future)
-                    job = by_key[key]
-                    try:
-                        worker_pid, result = future.result()
-                    except Exception as error:  # noqa: BLE001
-                        self._fail(job, attempts[key], error, started_at[key], None)
-                        if attempts[key] <= self.retries:
-                            retry = submit(job)
-                            if retry is not None:
-                                pending[retry] = key
-                    else:
-                        results[key] = self._finish(
-                            job,
-                            attempts[key],
-                            result,
-                            store,
-                            started_at[key],
-                            False,
-                            worker_pid,
-                        )
+    runtime = runtime or get_runtime()
+    store = runtime.store
+    keys = [job.key for job in campaign.unique_jobs()]
+    results = _stored_results(keys, campaign.ledger.fold(), store)
+    todo = [key for key in keys if key not in results]
+    if todo:
+        campaign.ledger.reopen(todo)
+        options = dict(poll=DRAIN_POLL, retries=retries, stream=stream)
+        workers = 1 if limit is not None else min(runtime.jobs, len(todo))
+        if workers > 1:
+            # The platform's default start method, as Runtime's pool uses:
+            # under spawn every worker re-imports the simulator first.
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(run_worker, campaign, runtime, **options)
+                    for _ in range(workers)
+                ]
+                for future in futures:
+                    future.result()
+        else:
+            run_worker(campaign, runtime, max_jobs=limit, **options)
+        results.update(_stored_results(todo, campaign.ledger.fold(), store))
+    return CampaignRun(campaign, results)
 
 
 def submit(
@@ -482,6 +351,7 @@ def submit(
     :class:`~repro.sim.results.SimResult` values.
     """
     runtime = runtime or get_runtime()
-    campaign = Campaign.create(spec, directory or default_directory(spec, runtime.store.root))
-    run = CampaignRunner(campaign, runtime=runtime, retries=retries).run(resume=True)
-    return run.require_complete()
+    if directory is None:
+        directory = default_directory(spec, campaigns_root(runtime.store.root))
+    campaign = Campaign.create(spec, directory)
+    return drain(campaign, runtime=runtime, retries=retries).require_complete()

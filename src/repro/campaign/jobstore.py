@@ -31,9 +31,11 @@ The claim protocol:
   stops heartbeating; once its lease expires the job is claimable again
   and the campaign loses nothing.
 * :meth:`SqliteJobStore.append` journals ``done``/``failed`` (releasing
-  the lease) and keeps the per-job row in step; the single-process
-  :class:`~repro.campaign.executor.CampaignRunner` drives the store
-  through this method alone.
+  the lease) and keeps the per-job row in step.
+* :meth:`SqliteJobStore.reopen` sets jobs back to ``pending`` with a
+  fresh attempt budget; :func:`~repro.campaign.executor.drain` calls it
+  on every job it is about to run again before its workers start
+  claiming.
 
 Durability: WAL mode with ``synchronous=NORMAL`` never corrupts the
 database; a power cut can drop only the last committed transactions.
@@ -113,7 +115,7 @@ class JobState:
     attempts: int = 0
     error: Optional[str] = None
     elapsed: Optional[float] = None
-    worker: Optional[int] = None
+    worker: Optional[str] = None
     cached: bool = False
     meta: Dict = field(default_factory=dict)
 
@@ -170,8 +172,7 @@ class SqliteJobStore:
     Every public method opens a short-lived connection, so one store
     object is safe to use from any thread (the heartbeat thread included)
     and any number of processes share the database through SQLite's own
-    locking.  ``lease`` is the default lease duration granted to claims
-    and to ``running`` records appended by non-claiming executors.
+    locking.  ``lease`` is the default lease duration granted to claims.
     """
 
     def __init__(self, path, lease: float = DEFAULT_LEASE):
@@ -271,14 +272,7 @@ class SqliteJobStore:
             "INSERT OR IGNORE INTO jobs (key, state, meta) VALUES (?, 'pending', ?)",
             (key, meta),
         )
-        if status == "running":
-            conn.execute(
-                "UPDATE jobs SET state = 'running', attempts = attempts + 1, "
-                "worker = ?, lease_expires = ?, meta = COALESCE(?, meta) "
-                "WHERE key = ?",
-                (record.get("worker"), time.time() + self.lease, meta, key),
-            )
-        elif status in ("done", "failed"):
+        if status in ("done", "failed"):
             conn.execute(
                 "UPDATE jobs SET state = ?, lease_expires = NULL, "
                 "meta = COALESCE(?, meta) WHERE key = ?",
@@ -311,6 +305,26 @@ class SqliteJobStore:
                 conn.execute("ROLLBACK")
                 raise
             return inserted
+
+    def reopen(self, keys: Sequence[str]) -> None:
+        """Set ``keys`` back to ``pending`` with a fresh attempt budget.
+
+        Keys not enqueued yet are left to :meth:`ensure_jobs`.  A
+        reopened job keeps its journal; its next claim is attempt 1
+        again and restarts its sample stream.
+        """
+        with closing(self._connect()) as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                conn.executemany(
+                    "UPDATE jobs SET state = 'pending', attempts = 0, "
+                    "worker = NULL, lease_expires = NULL WHERE key = ?",
+                    [(key,) for key in keys],
+                )
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
 
     def claim(
         self,
@@ -507,14 +521,3 @@ class SqliteJobStore:
                 "SELECT key, COUNT(*) FROM samples GROUP BY key"
             ).fetchall()
         return dict(rows)
-
-    def clear_samples(self, key: str) -> None:
-        """Drop ``key``'s stream (a fresh attempt restarts it)."""
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                conn.execute("DELETE FROM samples WHERE key = ?", (key,))
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise

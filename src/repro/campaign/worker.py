@@ -1,9 +1,11 @@
 """The pull-based campaign worker: claim → execute → persist → mark done.
 
-``python -m repro.campaign worker <dir>`` runs this loop against a
-campaign's job store.  Any number of workers — separate
-processes, separate machines sharing the campaign directory and result
-store — drain one campaign concurrently:
+Every campaign job runs through this loop.  ``python -m repro.campaign
+worker <dir>`` runs it against a campaign's job store, and
+:func:`~repro.campaign.executor.drain` (behind ``run``, ``resume`` and
+``submit``) runs it in-process or in a local process pool.  Any number
+of workers — separate processes, separate machines sharing the campaign
+directory and result store — drain one campaign concurrently:
 
 * on startup the worker idempotently enqueues the campaign's full job
   expansion (``INSERT OR IGNORE``), so the first worker to arrive seeds
@@ -29,12 +31,14 @@ import os
 import socket
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.campaign.executor import Campaign
 from repro.campaign.jobstore import Claim, SqliteJobStore
 from repro.campaign.spec import CampaignJob
-from repro.runtime import config_fingerprint, execute_job, get_runtime
+from repro.runtime import JobExecutionError, config_fingerprint, execute_job, get_runtime
+
+if TYPE_CHECKING:  # the executor imports this module to drive campaigns
+    from repro.campaign.executor import Campaign
 
 # How much of the lease may elapse between heartbeats.  Three beats per
 # lease means two may be lost (scheduling hiccups, a busy store) before
@@ -48,7 +52,7 @@ def default_worker_id() -> str:
 
 
 def job_meta(job: CampaignJob) -> Dict:
-    """The journal ``job`` payload: same shape CampaignRunner records."""
+    """The journal ``job`` payload: a job's coordinates and config fingerprint."""
     return {
         "kind": job.kind,
         "benchmarks": list(job.benchmarks),
@@ -106,8 +110,6 @@ class WorkerStats:
 
 
 def _error_text(error: BaseException) -> str:
-    from repro.runtime import JobExecutionError
-
     if isinstance(error, JobExecutionError):
         return str(error)
     return f"{type(error).__name__}: {error}"

@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro import runtime
-from repro.campaign import Campaign, CampaignRunner, CampaignSpec, run_worker
+from repro.campaign import Campaign, CampaignSpec, drain, run_worker
 from repro.campaign.report import export
 from repro.campaign.service import (
     CampaignService,
@@ -340,5 +340,5 @@ class TestServiceObject:
         spec = CampaignSpec.from_dict(small_spec_dict())
         baseline_rt = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache2"))
         baseline = Campaign.create(spec, tmp_path / "baseline")
-        CampaignRunner(baseline, runtime=baseline_rt).run()
+        drain(baseline, runtime=baseline_rt)
         assert text == export(baseline, baseline_rt.store, fmt="csv")

@@ -20,9 +20,9 @@ from repro import api, runtime, sim
 from repro.campaign import (
     Campaign,
     CampaignError,
-    CampaignRunner,
     CampaignSpec,
     SqliteJobStore,
+    drain,
     fold_records,
     run_worker,
 )
@@ -62,8 +62,8 @@ class TestLedgerContractParity:
     ]
 
     def test_fold_matches_fold_records(self, tmp_path):
-        # lease=0 so the running record's executor-granted lease is born
-        # expired: this compares pure journal-fold semantics, without the
+        # An appended running record takes no lease (only a claim does),
+        # so this compares pure journal-fold semantics, without the
         # store's live-lease overlay (tested separately below).
         store = SqliteJobStore(tmp_path / DB_NAME, lease=0.0)
         for record in self.HISTORY:
@@ -171,6 +171,18 @@ class TestClaims:
         assert store.unfinished(max_attempts=2) == 1
         retry = store.claim("w1", max_attempts=2)
         assert retry is not None and retry.attempt == 2
+
+    def test_reopen_gives_a_fresh_attempt_budget(self, store):
+        store.ensure_jobs([("a", None), ("b", None)])
+        for status in ("failed", "done"):
+            claim = store.claim("w1")
+            store.append({"key": claim.key, "status": status, "attempt": 1})
+        assert store.claim("w1") is None  # a exhausted, b done
+        store.reopen(["a", "b", "never-enqueued"])
+        assert store.unfinished() == 2
+        again = [store.claim("w2") for _ in range(2)]
+        assert [(c.key, c.attempt) for c in again] == [("a", 1), ("b", 1)]
+        assert store.fold()["a"].attempts == 2  # the journal keeps both tries
 
     def test_claim_meta_round_trips(self, store):
         store.ensure_jobs([("a", {"policy": "padc", "seed": 3})])
@@ -320,10 +332,10 @@ class TestWorkerLoop:
 
 
 def serial_baseline(spec, tmp_path):
-    """(csv, json) export of a cold single-process CampaignRunner run."""
+    """(csv, json) export of a cold single-process drain."""
     executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-serial"))
     campaign = Campaign.create(spec, tmp_path / "serial")
-    CampaignRunner(campaign, runtime=executor).run()
+    drain(campaign, runtime=executor)
     return (
         export(campaign, executor.store, fmt="csv"),
         export(campaign, executor.store, fmt="json"),
@@ -350,7 +362,7 @@ class TestExportEquality:
         serial_csv, _ = serial_baseline(spec, tmp_path)
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache-streamed"))
         campaign = Campaign.create(spec, tmp_path / "streamed")
-        run = CampaignRunner(campaign, runtime=executor, stream=True).run()
+        run = drain(campaign, runtime=executor, stream=True)
         assert not run.incomplete()
         assert set(campaign.ledger.sample_counts()) == {
             job.key for job in campaign.unique_jobs()
@@ -484,5 +496,5 @@ class TestSigkillWorkerSubprocess:
         # Byte-identical to the single-process baseline.
         clean_rt = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache2"))
         clean = Campaign.create(spec, tmp_path / "clean")
-        CampaignRunner(clean, runtime=clean_rt).run()
+        drain(clean, runtime=clean_rt)
         assert export(campaign, executor.store) == export(clean, clean_rt.store)

@@ -10,9 +10,9 @@ import pytest
 
 from tests.conftest import tiny_system_config
 from repro import api
-from repro.campaign import Campaign, CampaignRunner, CampaignSpec, run_worker
-from repro.campaign.executor import CampaignError
+from repro.campaign import Campaign, CampaignSpec, drain, run_worker
 from repro.campaign.jobstore import DB_NAME, SqliteJobStore
+from repro.campaign.report import export
 from repro.params import BACKENDS
 from repro.telemetry import TelemetryCollector
 from repro.telemetry.stream import (
@@ -168,8 +168,8 @@ def test_streamed_execute_keeps_requested_trace(tmp_path):
 
 
 def test_sample_store_surface(tmp_path):
-    """append/samples/samples_since/sample_counts/clear over the job
-    store's samples table."""
+    """append/samples/samples_since/sample_counts, and a claim's reset,
+    over the job store's samples table."""
     sink = SqliteJobStore(tmp_path / DB_NAME)
     records, _ = _streamed_run(accesses=400, num_cores=1)
     sink.append_samples("a", records[:2])
@@ -191,10 +191,11 @@ def test_sample_store_surface(tmp_path):
     sink.append_samples("c", records[:1])
     fresh, _ = sink.samples_since(cursor)
     assert [row["key"] for row in fresh] == ["c"]
-    # Key filter and reset.
+    # Key filter, and a claim that restarts one job's stream.
     only_b, _ = sink.samples_since(0, key="b")
     assert [row["record"] for row in only_b] == records
-    sink.clear_samples("a")
+    sink.ensure_jobs([("a", None)])
+    assert sink.claim("w1").key == "a"
     assert sink.samples("a") == []
     assert "a" not in sink.sample_counts()
     assert sink.samples("b") == records  # other streams untouched
@@ -272,13 +273,26 @@ def test_worker_stream_synthesizes_cache_hits(tmp_path):
         assert fold_samples(second.ledger.samples(job.key)).num_intervals >= 1
 
 
-def test_parallel_runner_rejects_streaming(tmp_path, monkeypatch):
+def test_two_worker_drain_streams_every_job(tmp_path):
+    """drain(stream=True) on two worker processes: every job's samples
+    fold to a valid trace, and the export equals an unstreamed serial
+    drain's."""
     from repro import runtime as runtime_mod
 
-    runtime = runtime_mod.configure(jobs=4, cache_dir=str(tmp_path / "cache"))
-    campaign = Campaign.create(small_spec(), tmp_path / "c")
-    with pytest.raises(CampaignError, match="serial runner"):
-        CampaignRunner(campaign, runtime=runtime, stream=True).run()
+    spec = small_spec()
+    runtime = runtime_mod.configure(jobs=2, cache_dir=str(tmp_path / "cache"))
+    streamed = Campaign.create(spec, tmp_path / "streamed")
+    assert not drain(streamed, runtime=runtime, stream=True).incomplete()
+    store = streamed.ledger
+    assert set(store.sample_counts()) == {job.key for job in streamed.unique_jobs()}
+    for job in streamed.unique_jobs():
+        assert fold_samples(store.samples(job.key)).num_intervals >= 1
+    streamed_csv = export(streamed, runtime.store)
+
+    serial_rt = runtime_mod.configure(jobs=1, cache_dir=str(tmp_path / "cache-serial"))
+    serial = Campaign.create(spec, tmp_path / "serial")
+    drain(serial, runtime=serial_rt)
+    assert streamed_csv == export(serial, serial_rt.store)
 
 
 # -- the api.Campaign handle ---------------------------------------------------
