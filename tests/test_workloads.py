@@ -1,6 +1,9 @@
 """Tests for benchmark profiles and the synthetic trace generator."""
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,9 @@ from repro.workloads.profiles import (
 )
 from repro.workloads.suite import make_trace, named_mix, random_mix, workload_mixes
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from tests.test_writes import STORE_HEAVY
+
+TRACE_GOLDEN = Path(__file__).parent / "golden" / "trace_digests.json"
 
 
 class TestProfileTable:
@@ -164,3 +170,56 @@ class TestSuiteHelpers:
     def test_named_mix(self):
         mix = named_mix(["swim", "art_00"])
         assert [profile.name for profile in mix] == ["swim_00", "art_00"]
+
+
+# The trace streams are the input of every simulation, so they are pinned
+# as stored data: the sha256 of the first 10,000 entries of one profile of
+# each kind (phases, hot set, streaming, writes) at two seeds.  10,000
+# entries cross two chunk boundaries, and the nonzero offset is core 0's
+# address offset in System.  Only a deliberate change to the streams may
+# regenerate the file (``PYTHONPATH=src python -m tests.test_workloads``),
+# together with a ``repro.runtime.store.CACHE_VERSION`` bump.
+TRACE_PROFILES = {
+    "milc_06": get_profile("milc_06"),
+    "art_00": get_profile("art_00"),
+    "libquantum_06": get_profile("libquantum_06"),
+    "storeheavy": STORE_HEAVY,
+}
+TRACE_SEEDS = (0, 7)
+TRACE_ENTRIES = 10_000
+TRACE_OFFSET = 1 << 54
+
+
+def trace_digest(profile, seed):
+    entries = SyntheticTraceGenerator(profile, seed=seed).generate(offset=TRACE_OFFSET)
+    text = "".join(
+        f"{entry.gap} {entry.line_addr} {entry.pc} {int(entry.is_write)}\n"
+        for entry in itertools.islice(entries, TRACE_ENTRIES)
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+TRACE_CASES = [f"{name}-seed{seed}" for name in TRACE_PROFILES for seed in TRACE_SEEDS]
+
+
+class TestStoredTraceDigests:
+    def test_golden_file_covers_every_case(self):
+        assert sorted(json.loads(TRACE_GOLDEN.read_text())) == sorted(TRACE_CASES)
+
+    @pytest.mark.parametrize("case", TRACE_CASES)
+    def test_stream_matches_stored_digest(self, case):
+        name, seed = case.rsplit("-seed", 1)
+        stored = json.loads(TRACE_GOLDEN.read_text())[case]
+        assert trace_digest(TRACE_PROFILES[name], int(seed)) == stored
+
+
+def _regenerate_trace_digests():
+    digests = {}
+    for case in TRACE_CASES:
+        name, seed = case.rsplit("-seed", 1)
+        digests[case] = trace_digest(TRACE_PROFILES[name], int(seed))
+    TRACE_GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate_trace_digests()
