@@ -53,11 +53,12 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 DB_NAME = "jobs.sqlite"
 
@@ -69,6 +70,9 @@ STATUSES = ("pending", "running", "interrupted", "done", "failed")
 # Workers heartbeat at a fraction of this, so only a dead worker ever
 # lets it lapse.
 DEFAULT_LEASE = 60.0
+
+# How long (seconds) a connection waits for another one's lock.
+_TIMEOUT = 30.0
 
 _SCHEMA = (
     """
@@ -169,28 +173,87 @@ class Claim:
 class SqliteJobStore:
     """Shared WAL-mode campaign store: status journal, job leases, samples.
 
-    Every public method opens a short-lived connection, so one store
-    object is safe to use from any thread (the heartbeat thread included)
-    and any number of processes share the database through SQLite's own
-    locking.  ``lease`` is the default lease duration granted to claims.
+    A public method runs on the calling thread's :meth:`session`
+    connection when that thread holds one, and on a short-lived
+    connection of its own otherwise.  So one store object is safe to use
+    from any thread (the heartbeat thread included), and any number of
+    processes share the database through SQLite's own locking.  ``lease``
+    is the default lease duration granted to claims.
     """
 
     def __init__(self, path, lease: float = DEFAULT_LEASE):
         self.path = Path(path)
         self.lease = float(lease)
+        # Session connections by thread id, each with the pid that opened it.
+        self._sessions: Dict[int, Tuple[int, sqlite3.Connection]] = {}
 
     # -- connection plumbing --------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
+        conn = sqlite3.connect(str(self.path), timeout=_TIMEOUT)
         conn.isolation_level = None  # explicit transactions only
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Turning a database nobody has created yet into WAL mode takes an
+        # exclusive lock, and when another connection is creating it too
+        # SQLite fails at once instead of waiting out the busy timeout.
+        # Retry for as long as that timeout would have waited.
+        deadline = time.monotonic() + _TIMEOUT
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    conn.close()
+                    raise
+                time.sleep(0.005)
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        conn.execute(f"PRAGMA busy_timeout={int(_TIMEOUT * 1000)}")
         for statement in _SCHEMA:
             conn.execute(statement)
         return conn
+
+    @contextmanager
+    def session(self) -> Iterator["SqliteJobStore"]:
+        """Hold one connection open for the calling thread until the block exits.
+
+        Every public method the thread calls inside the block runs on
+        that connection instead of opening and closing its own.  Closing
+        the last connection to a WAL database checkpoints the WAL and
+        deletes it, so a worker that opened one per call paid that on
+        every claim and journal write.  Other threads (a lease heartbeat)
+        and forked children keep opening their own.  Every method
+        finishes its transaction and statements before it returns, so
+        the held connection never pins an old snapshot or a lock between
+        calls.  A nested session reuses the outer one.
+        """
+        if self._held() is not None:
+            yield self
+            return
+        ident = threading.get_ident()
+        conn = self._connect()
+        self._sessions[ident] = (os.getpid(), conn)
+        try:
+            yield self
+        finally:
+            del self._sessions[ident]
+            conn.close()
+
+    def _held(self) -> Optional[sqlite3.Connection]:
+        held = self._sessions.get(threading.get_ident())
+        if held is None or held[0] != os.getpid():
+            return None
+        return held[1]
+
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """The calling thread's session connection, else a short-lived one."""
+        conn = self._held()
+        if conn is not None:
+            yield conn
+            return
+        with closing(self._connect()) as conn:
+            yield conn
 
     # -- the status journal ---------------------------------------------------
 
@@ -209,7 +272,7 @@ class SqliteJobStore:
         """Journal one state transition and update the job's current row."""
         record = dict(record)
         record.setdefault("ts", time.time())
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 self._journal(conn, record)
@@ -223,7 +286,7 @@ class SqliteJobStore:
         """All journal records, in append order."""
         if not self.exists():
             return []
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute("SELECT record FROM records ORDER BY id").fetchall()
         return [json.loads(text) for (text,) in rows]
 
@@ -241,7 +304,7 @@ class SqliteJobStore:
         now = time.time()
         if not self.exists():
             return states
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT key, lease_expires FROM jobs WHERE state = 'running'"
             ).fetchall()
@@ -289,7 +352,7 @@ class SqliteJobStore:
         untouched, so every worker can enqueue the full expansion on
         startup without perturbing in-flight state.
         """
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 inserted = 0
@@ -313,7 +376,7 @@ class SqliteJobStore:
         reopened job keeps its journal; its next claim is attempt 1
         again and restarts its sample stream.
         """
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 conn.executemany(
@@ -342,7 +405,7 @@ class SqliteJobStore:
         """
         lease = self.lease if lease is None else float(lease)
         now = time.time()
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 row = conn.execute(
@@ -398,7 +461,7 @@ class SqliteJobStore:
         and results content-addressed) and move on.
         """
         lease = self.lease if lease is None else float(lease)
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET lease_expires = ? "
                 "WHERE key = ? AND worker = ? AND state = 'running'",
@@ -414,7 +477,7 @@ class SqliteJobStore:
         """
         if not self.exists():
             return 0
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             (count,) = conn.execute(
                 "SELECT COUNT(*) FROM jobs WHERE "
                 "state = 'pending' OR state = 'running' "
@@ -427,7 +490,7 @@ class SqliteJobStore:
         """Current per-job rows (state, attempts, worker, lease), in order."""
         if not self.exists():
             return []
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT key, state, attempts, worker, lease_expires "
                 "FROM jobs ORDER BY seq"
@@ -456,7 +519,7 @@ class SqliteJobStore:
         records = list(records)
         if not records:
             return
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 (base,) = conn.execute(
@@ -479,7 +542,7 @@ class SqliteJobStore:
         """All of ``key``'s streamed records so far, in stream order."""
         if not self.exists():
             return []
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT record FROM samples WHERE key = ? ORDER BY idx", (key,)
             ).fetchall()
@@ -502,7 +565,7 @@ class SqliteJobStore:
             query += " AND key = ?"
             params.append(key)
         query += " ORDER BY id"
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute(query, params).fetchall()
         out = [
             {"id": row_id, "key": row_key, "idx": idx, "record": json.loads(text)}
@@ -516,7 +579,7 @@ class SqliteJobStore:
         """Streamed records per job key (keys with none are absent)."""
         if not self.exists():
             return {}
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT key, COUNT(*) FROM samples GROUP BY key"
             ).fetchall()

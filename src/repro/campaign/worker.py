@@ -158,29 +158,34 @@ def run_worker(
     max_attempts = max(0, int(retries)) + 1
 
     by_key = {job.key: job for job in campaign.unique_jobs()}
-    seeded = store.ensure_jobs([(key, job_meta(job)) for key, job in by_key.items()])
-    if seeded:
-        log(f"[{worker_id}] enqueued {seeded} job(s)")
     result_store = runtime.store
     stats = WorkerStats()
 
-    while True:
-        if should_stop():
-            stats.drained = True
-            break
-        if max_jobs is not None and stats.claimed >= max_jobs:
-            break
-        claim = store.claim(worker_id, lease=lease, max_attempts=max_attempts)
-        if claim is None:
-            if store.unfinished(max_attempts) == 0:
-                break
-            time.sleep(poll)
-            continue
-        stats.claimed += 1
-        _execute_claim(
-            campaign, store, result_store, by_key, claim, worker_id, lease,
-            throttle, stream, stats, log,
+    # One job-store connection serves the whole loop; the heartbeat
+    # threads open their own.
+    with store.session():
+        seeded = store.ensure_jobs(
+            [(key, job_meta(job)) for key, job in by_key.items()]
         )
+        if seeded:
+            log(f"[{worker_id}] enqueued {seeded} job(s)")
+        while True:
+            if should_stop():
+                stats.drained = True
+                break
+            if max_jobs is not None and stats.claimed >= max_jobs:
+                break
+            claim = store.claim(worker_id, lease=lease, max_attempts=max_attempts)
+            if claim is None:
+                if store.unfinished(max_attempts) == 0:
+                    break
+                time.sleep(poll)
+                continue
+            stats.claimed += 1
+            _execute_claim(
+                campaign, store, result_store, by_key, claim, worker_id, lease,
+                throttle, stream, stats, log,
+            )
     log(f"[{worker_id}] exiting: {stats.describe()}")
     return stats
 

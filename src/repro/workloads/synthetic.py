@@ -12,13 +12,19 @@ a :class:`BenchmarkProfile`.  Two access populations are interleaved:
   recently used lines (temporal reuse → L2 hits).
 
 All randomness comes from a seeded ``numpy`` Generator; random draws are
-batched for speed.
+batched for speed, one 4,096-entry chunk at a time.
 
-Hot-path layout (DESIGN.md §15): entries are built a chunk at a time in
-:meth:`generate_batches` and flattened through
-``itertools.chain.from_iterable``, so the per-access ``next(core.trace)``
-hop in the simulation loop is serviced by the C chain iterator walking a
-prebuilt list instead of resuming a Python generator frame per entry.
+Hot-path layout (DESIGN.md §15): :meth:`generate_batches` builds each
+chunk's entries in slices of doubling size (64, 64, 128, ..., 2,048) and
+:meth:`generate` flattens them through ``itertools.chain.from_iterable``.
+The per-access ``next(core.trace)`` hop in the simulation loop is then
+serviced by the C chain iterator walking a prebuilt list instead of
+resuming a Python generator frame per entry, and a slice is built only
+when the consumer reaches it: a short run that takes n entries of a
+chunk builds at most ``max(64, 2n)`` of them.  The chunk's batched draws
+and the per-entry ``_fresh_base``/``_run_len`` draws happen in the same
+order however far the consumer gets, so the stream does not depend on
+the slicing.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from repro.workloads.profiles import BenchmarkProfile
 # Streams live in disjoint 1G-line regions so contexts never collide.
 _REGION_BITS = 30
 _CHUNK = 4096
+# Where each slice of a chunk ends: every slice is as long as all the
+# slices before it, after a first slice of 1/64 of the chunk.
+_SLICE_ENDS = tuple(_CHUNK >> shift for shift in range(6, -1, -1))
 
 
 class SyntheticTraceGenerator:
@@ -59,10 +68,12 @@ class SyntheticTraceGenerator:
         return chain.from_iterable(self.generate_batches(offset))
 
     def generate_batches(self, offset: int = 0) -> Iterator[List[TraceEntry]]:
-        """Yield the same entry stream as :meth:`generate`, one list per
-        internal chunk — the batch form the simulation backends flatten
-        cheaply, and bulk consumers (converters, profilers) can extend
-        from directly.
+        """Yield the entry stream of :meth:`generate` as a series of lists.
+
+        Each list is one slice of a chunk (``_SLICE_ENDS``), built only
+        when the previous one has been taken; :meth:`generate` flattens
+        them.  The next chunk's batched draws wait until the last slice
+        of this one is taken.
         """
         profile = self.profile
         # zlib.crc32 is stable across processes (str.hash is randomized).
@@ -79,7 +90,6 @@ class SyntheticTraceGenerator:
         ]
         recent: deque = deque(maxlen=64)
         access_index = 0
-        in_bad_phase = False
         # Profile constants hoisted out of the per-entry loop.
         phase_period = profile.phase_period
         phase_slots = 1 + profile.bad_phase_ratio
@@ -100,64 +110,82 @@ class SyntheticTraceGenerator:
         # loop is the single hottest allocation site in a simulation.
         entry_new = tuple.__new__
         entry_cls = TraceEntry
-        chunk_range = range(_CHUNK)
         while True:
-            # Batched random draws for one chunk of accesses, converted to
-            # plain Python lists up front: per-element numpy scalar
-            # indexing in the build loop costs several times a list load.
-            gaps = (rng.geometric(gap_p, _CHUNK) - 1).tolist()
-            kind_draw = rng.random(_CHUNK).tolist()
-            stream_pick = rng.integers(0, num_streams, _CHUNK).tolist()
-            ws_pick = rng.integers(0, ws_lines, _CHUNK).tolist()
-            reuse_draw = rng.random(_CHUNK).tolist()
-            reuse_pick = rng.integers(0, 64, _CHUNK).tolist()
-            hot_draw = rng.random(_CHUNK).tolist()
-            write_draw = rng.random(_CHUNK).tolist()
-            hot_pick = (
-                rng.integers(0, profile.hot_lines, _CHUNK).tolist()
+            # Batched random draws for one chunk of accesses, in a fixed
+            # order.  Each slice converts its share to plain Python lists
+            # before its build loop: per-element numpy scalar indexing costs
+            # several times a list load, and the conversion costs more than
+            # the draws, so a slice nobody reaches is never converted.
+            draws = (
+                rng.geometric(gap_p, _CHUNK) - 1,
+                rng.random(_CHUNK),
+                rng.integers(0, num_streams, _CHUNK),
+                rng.integers(0, ws_lines, _CHUNK),
+                rng.random(_CHUNK),
+                rng.integers(0, 64, _CHUNK),
+                rng.random(_CHUNK),
+                rng.random(_CHUNK),
+            )
+            hot_draws = (
+                rng.integers(0, profile.hot_lines, _CHUNK)
                 if profile.hot_lines
                 else None
             )
-            batch: List[TraceEntry] = []
-            batch_append = batch.append
-            for i in chunk_range:
-                # The phase check is per-entry because a phase boundary can
-                # land mid-chunk; profiles without phases skip it in one
-                # falsy test.
-                if phase_period:
-                    in_bad_phase = (access_index // phase_period) % phase_slots != 0
-                    if in_bad_phase:
-                        stream_fraction = bad_sf
-                        run_length = bad_rl
-                    else:
-                        stream_fraction = good_sf
-                        run_length = good_rl
-                if kind_draw[i] < stream_fraction:
-                    context = stream_pick[i]
-                    line = stream_pos[context]
-                    stream_pos[context] += 1
-                    stream_left[context] -= 1
-                    if stream_left[context] <= 0:
-                        stream_pos[context] = self._fresh_base(rng, context) + offset
-                        stream_left[context] = self._run_len(rng, run_length)
-                    pc = 16 + context
-                else:
-                    if recent and reuse_draw[i] < reuse_fraction:
-                        line = recent[reuse_pick[i] % len(recent)]
-                    elif hot_pick is not None and hot_draw[i] < hot_fraction:
-                        line = ws_base + hot_pick[i]
-                    else:
-                        line = ws_base + ws_pick[i]
-                    pc = 8 + (line & 0x7)
-                recent_append(line)
-                access_index += 1
-                batch_append(
-                    entry_new(
-                        entry_cls,
-                        (gaps[i], line, pc, write_draw[i] < write_fraction),
-                    )
+            start = 0
+            for end in _SLICE_ENDS:
+                (
+                    gaps,
+                    kind_draw,
+                    stream_pick,
+                    ws_pick,
+                    reuse_draw,
+                    reuse_pick,
+                    hot_draw,
+                    write_draw,
+                ) = [draw[start:end].tolist() for draw in draws]
+                hot_pick = (
+                    hot_draws[start:end].tolist() if hot_draws is not None else None
                 )
-            yield batch
+                batch: List[TraceEntry] = []
+                batch_append = batch.append
+                for i in range(end - start):
+                    # The phase check is per-entry because a phase boundary
+                    # can land mid-slice; profiles without phases skip it in
+                    # one falsy test.
+                    if phase_period:
+                        if (access_index // phase_period) % phase_slots:  # bad
+                            stream_fraction = bad_sf
+                            run_length = bad_rl
+                        else:
+                            stream_fraction = good_sf
+                            run_length = good_rl
+                    if kind_draw[i] < stream_fraction:
+                        context = stream_pick[i]
+                        line = stream_pos[context]
+                        stream_pos[context] += 1
+                        stream_left[context] -= 1
+                        if stream_left[context] <= 0:
+                            stream_pos[context] = self._fresh_base(rng, context) + offset
+                            stream_left[context] = self._run_len(rng, run_length)
+                        pc = 16 + context
+                    else:
+                        if recent and reuse_draw[i] < reuse_fraction:
+                            line = recent[reuse_pick[i] % len(recent)]
+                        elif hot_pick is not None and hot_draw[i] < hot_fraction:
+                            line = ws_base + hot_pick[i]
+                        else:
+                            line = ws_base + ws_pick[i]
+                        pc = 8 + (line & 0x7)
+                    recent_append(line)
+                    access_index += 1
+                    batch_append(
+                        entry_new(
+                            entry_cls,
+                            (gaps[i], line, pc, write_draw[i] < write_fraction),
+                        )
+                    )
+                yield batch
+                start = end
 
     @staticmethod
     def _fresh_base(rng: np.random.Generator, context: int) -> int:

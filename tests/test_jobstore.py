@@ -8,10 +8,12 @@ job store.
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 import pytest
@@ -190,12 +192,25 @@ class TestClaims:
         assert claim.meta == {"policy": "padc", "seed": 3}
 
     def test_concurrent_claims_never_collide(self, store):
-        keys = [f"k{i}" for i in range(40)]
-        store.ensure_jobs([(key, None) for key in keys])
-        claimed = []
-        lock = threading.Lock()
+        assert claim_concurrently(store, sessions=False) == CONCURRENT_KEYS
+        assert store.unfinished() == 0
 
-        def drain(worker_id):
+
+CONCURRENT_KEYS = sorted(f"k{i}" for i in range(40))
+
+
+def claim_concurrently(store, sessions):
+    """Four threads share ``store`` and drain 40 jobs; the keys they claimed.
+
+    A short switch interval makes the threads interleave between every
+    few bytecodes, so a claim lost or taken twice shows in the result.
+    """
+    store.ensure_jobs([(key, None) for key in CONCURRENT_KEYS])
+    claimed = []
+    lock = threading.Lock()
+
+    def drain(worker_id):
+        with store.session() if sessions else nullcontext():
             while True:
                 claim = store.claim(worker_id, lease=30.0)
                 if claim is None:
@@ -206,15 +221,18 @@ class TestClaims:
                     {"key": claim.key, "status": "done", "attempt": claim.attempt}
                 )
 
-        threads = [
-            threading.Thread(target=drain, args=(f"w{i}",)) for i in range(4)
-        ]
+    threads = [threading.Thread(target=drain, args=(f"w{i}",)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        assert sorted(claimed) == sorted(keys)  # each exactly once
-        assert store.unfinished() == 0
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return sorted(claimed)
 
 
 class TestConcurrentCreate:
@@ -245,6 +263,119 @@ class TestConcurrentCreate:
         with pytest.raises(CampaignError) as excinfo:
             Campaign.create(small_spec(accesses=999), tmp_path / "c")
         assert "different spec" in str(excinfo.value)
+
+
+class TestFreshDatabaseRace:
+    def test_racing_first_connections_all_succeed(self, tmp_path):
+        """Connections that all open a database nobody has created yet.
+
+        Switching the new file to WAL mode can fail at once with
+        "database is locked", without waiting out the busy timeout; the
+        store retries it.
+        """
+        errors = []
+
+        def enqueue(path, barrier):
+            barrier.wait()
+            try:
+                SqliteJobStore(path).ensure_jobs([("a", None), ("b", None)])
+            except Exception as error:  # noqa: BLE001 - counted below
+                errors.append(error)
+
+        for index in range(200):
+            path = tmp_path / f"db{index}" / DB_NAME
+            barrier = threading.Barrier(4)
+            threads = [
+                threading.Thread(target=enqueue, args=(path, barrier))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
+class TestSession:
+    def test_methods_share_the_thread_connection(self, store, monkeypatch):
+        store.ensure_jobs([("a", None)])
+        calls = []
+        connect = SqliteJobStore._connect
+
+        def counting(self):
+            calls.append(1)
+            return connect(self)
+
+        monkeypatch.setattr(SqliteJobStore, "_connect", counting)
+        with store.session():
+            claim = store.claim("w1")
+            store.append_samples("a", [{"cycle": 1}])
+            store.append({"key": "a", "status": "done", "attempt": claim.attempt})
+            assert store.fold()["a"].status == "done"
+            assert store.samples("a") == [{"cycle": 1}]
+            assert store.unfinished() == 0
+        assert len(calls) == 1
+
+    def test_no_snapshot_or_lock_is_held_between_calls(self, store):
+        """A checkpoint that must wait for every reader completes at once."""
+        store.ensure_jobs([("a", None), ("b", None)])
+        with store.session():
+            claim = store.claim("w1")
+            store.append_samples("a", [{"cycle": 1}, {"cycle": 2}])
+            store.heartbeat("a", "w1")
+            store.append({"key": "a", "status": "done", "attempt": claim.attempt})
+            store.fold()
+            store.samples_since(0)
+            store.job_rows()
+            store.sample_counts()
+            store.unfinished()
+            with closing(sqlite3.connect(str(store.path), timeout=0)) as other:
+                busy, _, _ = other.execute(
+                    "PRAGMA wal_checkpoint(TRUNCATE)"
+                ).fetchone()
+                assert busy == 0
+                # And a writer gets its lock without waiting.
+                other.execute("BEGIN IMMEDIATE")
+                other.execute("ROLLBACK")
+
+    def test_session_connection_closes_on_exception(self, store, monkeypatch):
+        opened = []
+        connect = SqliteJobStore._connect
+
+        def recording(self):
+            opened.append(connect(self))
+            return opened[-1]
+
+        monkeypatch.setattr(SqliteJobStore, "_connect", recording)
+        with pytest.raises(RuntimeError):
+            with store.session():
+                store.ensure_jobs([("a", None)])
+                raise RuntimeError("boom")
+        (conn,) = opened
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+        assert not Path(f"{store.path}-wal").exists()
+
+    def test_threads_with_their_own_sessions_never_collide(self, store):
+        assert claim_concurrently(store, sessions=True) == CONCURRENT_KEYS
+        assert store.unfinished() == 0
+
+    def test_heartbeat_from_another_thread_renews_the_lease(self, store):
+        store.ensure_jobs([("a", None)])
+        with store.session():
+            claim = store.claim("w1", lease=0.01)
+            renewed = []
+            beat = threading.Thread(
+                target=lambda: renewed.append(store.heartbeat("a", "w1", lease=30.0))
+            )
+            beat.start()
+            beat.join(timeout=30)
+            assert renewed == [True]
+            time.sleep(0.05)  # the claim's own lease is long gone
+            (row,) = store.job_rows()
+            assert row["lease_expires"] > claim.lease_expires + 20
+            assert store.claim("w2") is None
 
 
 class TestWorkerLoop:
@@ -329,6 +460,62 @@ class TestWorkerLoop:
         (state,) = campaign.states().values()
         assert state.status == "done"
         assert state.attempts == 2
+
+
+class TestWorkerSession:
+    """run_worker holds one job-store connection for its whole loop."""
+
+    @staticmethod
+    def _record_connects(monkeypatch):
+        opened = []
+        connect = SqliteJobStore._connect
+
+        def recording(self):
+            conn = connect(self)
+            opened.append((threading.get_ident(), conn))
+            return conn
+
+        monkeypatch.setattr(SqliteJobStore, "_connect", recording)
+        return opened
+
+    def test_worker_thread_connects_once(self, tmp_path, monkeypatch):
+        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
+        campaign = Campaign.create(small_spec(), tmp_path / "c")
+        opened = self._record_connects(monkeypatch)
+        stats = run_worker(
+            campaign, runtime=executor, worker_id="w1", poll=0.05, stream=True
+        )
+        assert stats.done == 4
+        # Heartbeat threads open their own connections; leave them out.
+        mine = [conn for ident, conn in opened if ident == threading.get_ident()]
+        assert len(mine) == 1
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_connection_closed_and_wal_gone_after_worker(
+        self, tmp_path, monkeypatch, fails
+    ):
+        executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
+        campaign = Campaign.create(small_spec(), tmp_path / "c")
+        opened = self._record_connects(monkeypatch)
+        calls = []
+
+        def should_stop():
+            calls.append(1)
+            if fails and len(calls) > 2:
+                raise RuntimeError("stop check failed")
+            return False
+
+        if fails:
+            with pytest.raises(RuntimeError):
+                run_worker(campaign, runtime=executor, should_stop=should_stop)
+        else:
+            run_worker(campaign, runtime=executor, should_stop=should_stop)
+        assert opened
+        for _, conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+        assert not (tmp_path / "c" / f"{DB_NAME}-wal").exists()
+        assert campaign.status_counts()["done"] == (2 if fails else 4)
 
 
 def serial_baseline(spec, tmp_path):

@@ -147,6 +147,20 @@ class TestGenerator:
         assert len(entries) == 50
 
 
+class TestLazySlices:
+    @pytest.mark.parametrize("n", [1, 65, 250, 1_500, 4_096, 5_000])
+    def test_builds_at_most_twice_what_it_hands_out(self, n):
+        """Handing out n entries of a chunk builds at most max(first slice, 2n)."""
+        from repro.workloads.synthetic import _CHUNK, _SLICE_ENDS
+
+        batches = SyntheticTraceGenerator(get_profile("milc_06"), seed=0).generate_batches()
+        built = 0
+        while built < n:
+            built += len(next(batches))
+        chunk_start = (n - 1) // _CHUNK * _CHUNK
+        assert built - chunk_start <= max(_SLICE_ENDS[0], 2 * (n - chunk_start))
+
+
 class TestSuiteHelpers:
     def test_make_trace_accepts_names_and_profiles(self):
         assert take(make_trace("swim", seed=1), 10)
