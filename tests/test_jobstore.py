@@ -297,65 +297,47 @@ class TestFreshDatabaseRace:
         assert errors == []
 
 
+def record_connects(monkeypatch):
+    """Record every connection the store opens, with the opening thread's id."""
+    opened = []
+    connect = SqliteJobStore._connect
+
+    def recording(self):
+        conn = connect(self)
+        opened.append((threading.get_ident(), conn))
+        return conn
+
+    monkeypatch.setattr(SqliteJobStore, "_connect", recording)
+    return opened
+
+
 class TestSession:
-    def test_methods_share_the_thread_connection(self, store, monkeypatch):
-        store.ensure_jobs([("a", None)])
-        calls = []
-        connect = SqliteJobStore._connect
-
-        def counting(self):
-            calls.append(1)
-            return connect(self)
-
-        monkeypatch.setattr(SqliteJobStore, "_connect", counting)
-        with store.session():
-            claim = store.claim("w1")
-            store.append_samples("a", [{"cycle": 1}])
-            store.append({"key": "a", "status": "done", "attempt": claim.attempt})
-            assert store.fold()["a"].status == "done"
-            assert store.samples("a") == [{"cycle": 1}]
-            assert store.unfinished() == 0
-        assert len(calls) == 1
-
-    def test_no_snapshot_or_lock_is_held_between_calls(self, store):
-        """A checkpoint that must wait for every reader completes at once."""
+    def test_one_connection_serves_every_call(self, store, monkeypatch):
+        """And between calls it holds no snapshot and no lock."""
         store.ensure_jobs([("a", None), ("b", None)])
+        opened = record_connects(monkeypatch)
         with store.session():
             claim = store.claim("w1")
             store.append_samples("a", [{"cycle": 1}, {"cycle": 2}])
             store.heartbeat("a", "w1")
             store.append({"key": "a", "status": "done", "attempt": claim.attempt})
-            store.fold()
+            with store.session():  # a nested session reuses the outer one
+                assert store.fold()["a"].status == "done"
+            assert store.samples("a") == [{"cycle": 1}, {"cycle": 2}]
             store.samples_since(0)
             store.job_rows()
             store.sample_counts()
-            store.unfinished()
+            assert store.unfinished() == 1
+            # A checkpoint that must wait for every reader completes at
+            # once, and a writer gets its lock without waiting.
             with closing(sqlite3.connect(str(store.path), timeout=0)) as other:
                 busy, _, _ = other.execute(
                     "PRAGMA wal_checkpoint(TRUNCATE)"
                 ).fetchone()
                 assert busy == 0
-                # And a writer gets its lock without waiting.
                 other.execute("BEGIN IMMEDIATE")
                 other.execute("ROLLBACK")
-
-    def test_session_connection_closes_on_exception(self, store, monkeypatch):
-        opened = []
-        connect = SqliteJobStore._connect
-
-        def recording(self):
-            opened.append(connect(self))
-            return opened[-1]
-
-        monkeypatch.setattr(SqliteJobStore, "_connect", recording)
-        with pytest.raises(RuntimeError):
-            with store.session():
-                store.ensure_jobs([("a", None)])
-                raise RuntimeError("boom")
-        (conn,) = opened
-        with pytest.raises(sqlite3.ProgrammingError):
-            conn.execute("SELECT 1")
-        assert not Path(f"{store.path}-wal").exists()
+        assert len(opened) == 1
 
     def test_threads_with_their_own_sessions_never_collide(self, store):
         assert claim_concurrently(store, sessions=True) == CONCURRENT_KEYS
@@ -465,23 +447,10 @@ class TestWorkerLoop:
 class TestWorkerSession:
     """run_worker holds one job-store connection for its whole loop."""
 
-    @staticmethod
-    def _record_connects(monkeypatch):
-        opened = []
-        connect = SqliteJobStore._connect
-
-        def recording(self):
-            conn = connect(self)
-            opened.append((threading.get_ident(), conn))
-            return conn
-
-        monkeypatch.setattr(SqliteJobStore, "_connect", recording)
-        return opened
-
     def test_worker_thread_connects_once(self, tmp_path, monkeypatch):
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
         campaign = Campaign.create(small_spec(), tmp_path / "c")
-        opened = self._record_connects(monkeypatch)
+        opened = record_connects(monkeypatch)
         stats = run_worker(
             campaign, runtime=executor, worker_id="w1", poll=0.05, stream=True
         )
@@ -496,7 +465,7 @@ class TestWorkerSession:
     ):
         executor = runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
         campaign = Campaign.create(small_spec(), tmp_path / "c")
-        opened = self._record_connects(monkeypatch)
+        opened = record_connects(monkeypatch)
         calls = []
 
         def should_stop():

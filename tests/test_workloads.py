@@ -150,15 +150,15 @@ class TestGenerator:
 class TestLazySlices:
     @pytest.mark.parametrize("n", [1, 65, 250, 1_500, 4_096, 5_000])
     def test_builds_at_most_twice_what_it_hands_out(self, n):
-        """Handing out n entries of a chunk builds at most max(first slice, 2n)."""
-        from repro.workloads.synthetic import _CHUNK, _SLICE_ENDS
+        """Handing out n entries of a chunk builds at most max(64, 2n) of them."""
+        from repro.workloads.synthetic import _CHUNK
 
         batches = SyntheticTraceGenerator(get_profile("milc_06"), seed=0).generate_batches()
         built = 0
         while built < n:
             built += len(next(batches))
         chunk_start = (n - 1) // _CHUNK * _CHUNK
-        assert built - chunk_start <= max(_SLICE_ENDS[0], 2 * (n - chunk_start))
+        assert built - chunk_start <= max(64, 2 * (n - chunk_start))
 
 
 class TestSuiteHelpers:
