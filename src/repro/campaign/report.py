@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import cache
 from typing import Dict, List, Optional
 
 from repro.campaign.executor import Campaign
@@ -119,8 +120,11 @@ def status_summary(campaign: Campaign) -> str:
     return "\n".join(lines)
 
 
-def _alone_ipc_table(campaign: Campaign, store) -> Dict:
-    """(workload_index, seed_offset) → list of per-slot alone IPCs (or None)."""
+def _alone_ipc_table(campaign: Campaign, read) -> Dict:
+    """(workload_index, seed_offset) → list of per-slot alone IPCs (or None).
+
+    ``read(key)`` loads a result whatever the job's journal status.
+    """
     table: Dict = {}
     for job in campaign.jobs():
         if job.kind != "alone":
@@ -128,15 +132,19 @@ def _alone_ipc_table(campaign: Campaign, store) -> Dict:
         slot = table.setdefault((job.workload_index, job.seed_offset), {})
         if job.position in slot:
             continue
-        result = store.get(job.key)
+        result = read(job.key)
         slot[job.position] = result.cores[0].ipc if result is not None else None
     return table
 
 
 def export_rows(campaign: Campaign, store) -> List[Dict]:
-    """One flat, deterministic row per unique job, in expansion order."""
+    """One flat, deterministic row per unique job, in expansion order.
+
+    Each key is read from ``store`` at most once.
+    """
+    read = cache(store.get)
     states = campaign.states()
-    alone_table = _alone_ipc_table(campaign, store) if campaign.spec.include_alone else {}
+    alone_table = _alone_ipc_table(campaign, read) if campaign.spec.include_alone else {}
     rows = []
     for job in campaign.unique_jobs():
         state = states[job.key]
@@ -153,7 +161,7 @@ def export_rows(campaign: Campaign, store) -> List[Dict]:
             status=state.status,
             key=job.key,
         )
-        result = store.get(job.key) if state.status == "done" else None
+        result = read(job.key) if state.status == "done" else None
         if result is not None:
             row.update(
                 total_cycles=result.total_cycles,

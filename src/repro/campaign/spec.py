@@ -22,6 +22,7 @@ from __future__ import annotations
 import difflib
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.params import PolicyError, baseline_config, resolve_policy
@@ -519,8 +520,14 @@ class CampaignJob:
     position: int  # benchmark slot for alone jobs, -1 for grid jobs
     job: SimJob = field(compare=False)
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The job's content hash, computed on first use and then kept.
+
+        A :class:`~repro.campaign.executor.Campaign` handle keeps its
+        expansion, so every reader of one handle shares one hash per
+        job; a new handle expands afresh and re-reads trace digests.
+        """
         return self.job.key()
 
     def describe(self) -> str:

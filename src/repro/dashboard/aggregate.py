@@ -110,7 +110,10 @@ def series(campaign, *, max_jobs: Optional[int] = None, step: int = 1) -> Dict:
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    streams = _streams(campaign.ledger)
+    return _series(campaign, _streams(campaign.ledger), max_jobs, step)
+
+
+def _series(campaign, streams, max_jobs: Optional[int], step: int) -> Dict:
     ordered = [job for job in campaign.unique_jobs() if job.key in streams]
     dropped = 0
     if max_jobs is not None and len(ordered) > max_jobs:
@@ -168,9 +171,13 @@ def fdp_histogram(campaign) -> Dict:
     means the core runs without FDP and is reported separately so the
     histogram reads as "time spent per aggressiveness level".
     """
+    return _fdp_histogram(_streams(campaign.ledger))
+
+
+def _fdp_histogram(streams) -> Dict:
     levels: Dict[int, int] = {}
     samples_without_fdp = 0
-    for records in _streams(campaign.ledger).values():
+    for records in streams.values():
         _, intervals = _split_stream(records)
         for record in intervals:
             for level in record["core"]["fdp_level"]:
@@ -191,13 +198,17 @@ def queue_pressure(campaign) -> Dict:
     fleet-wide high-water marks.  ``per_job`` carries the same rollup
     per run for the dashboard's detail rows.
     """
+    return _queue_pressure(campaign, _streams(campaign.ledger))
+
+
+def _queue_pressure(campaign, streams) -> Dict:
     per_job = []
     jobs_by_key = {job.key: job for job in campaign.unique_jobs()}
     totals = {"intervals": 0, "buffer_mean": 0.0, "bus": 0.0, "bank": 0.0}
     fleet_buffer_max = 0
     fleet_overflows = 0
     fleet_drops = 0
-    for key, records in _streams(campaign.ledger).items():
+    for key, records in streams.items():
         _, intervals = _split_stream(records)
         if not intervals:
             continue
@@ -243,12 +254,18 @@ def queue_pressure(campaign) -> Dict:
 
 
 def campaign_metrics(campaign, *, max_jobs: Optional[int] = None) -> Dict:
-    """Everything the dashboard polls for one campaign, in one payload."""
+    """Everything the dashboard polls for one campaign, in one payload.
+
+    The samples table is read and decoded once, after the progress
+    counts, and folded three ways, so the folds agree with each other.
+    """
+    progress_now = progress(campaign)
+    streams = _streams(campaign.ledger)
     return {
         "id": campaign.directory.name,
         "name": campaign.spec.name,
-        "progress": progress(campaign),
-        "series": series(campaign, max_jobs=max_jobs),
-        "fdp": fdp_histogram(campaign),
-        "pressure": queue_pressure(campaign),
+        "progress": progress_now,
+        "series": _series(campaign, streams, max_jobs, 1),
+        "fdp": _fdp_histogram(streams),
+        "pressure": _queue_pressure(campaign, streams),
     }

@@ -17,6 +17,16 @@ byte-identical results, so a cached result answers for all of them).
 Because the exclusion is declared on the field next to its
 justification — and asserted by tests — it cannot silently collide the
 way a hand-picked inclusion list can.
+
+Hashing is on the read path of every campaign handle, so
+:func:`canonicalize` dispatches on the exact type first (scalars, lists,
+tuples) and reads each dataclass type's hashed field names from a
+per-type cache instead of calling ``fields()`` for every instance; the
+``isinstance`` checks after it canonicalize subclasses (``bool``,
+``np.float64``, a ``dict`` subclass) exactly as before.  The forms are
+pinned twice: ``tests/golden/job_keys.json`` stores real job keys and
+spec fingerprints, and ``tests/test_hashing.py`` checks the function
+against a verbatim copy of the generic walk on generated values.
 """
 
 from __future__ import annotations
@@ -24,6 +34,23 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import Optional, Tuple
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+# Unbounded, one entry per type ever canonicalized: a type's hashed
+# fields never change, so sharing the memo across callers changes no key.
+@cache
+def _hashed_fields(kind: type) -> Optional[Tuple[str, ...]]:
+    """Field names an instance of ``kind`` hashes, or None if it is not a
+    dataclass instance (a dataclass *type* is an instance of ``type``)."""
+    if not is_dataclass(kind) or issubclass(kind, type):
+        return None
+    return tuple(
+        f.name for f in fields(kind) if not f.metadata.get("exclude_from_hash")
+    )
 
 
 def canonicalize(obj):
@@ -33,13 +60,17 @@ def canonicalize(obj):
     so two different dataclass types with identical field values do not
     alias.  Tuples and lists both become lists; dict keys are sorted.
     """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        body = {
-            f.name: canonicalize(getattr(obj, f.name))
-            for f in fields(obj)
-            if not f.metadata.get("exclude_from_hash")
-        }
-        return {"__dataclass__": type(obj).__name__, **body}
+    kind = type(obj)
+    if kind in _SCALARS:
+        return obj
+    if kind is list or kind is tuple:
+        return [canonicalize(item) for item in obj]
+    names = _hashed_fields(kind)
+    if names is not None:
+        body = {"__dataclass__": kind.__name__}
+        for name in names:
+            body[name] = canonicalize(getattr(obj, name))
+        return body
     if isinstance(obj, dict):
         return {
             str(key): canonicalize(value)

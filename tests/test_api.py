@@ -1,5 +1,8 @@
 """The public repro.api facade and its contracts."""
 
+import csv
+import io
+
 import pytest
 
 import repro
@@ -125,3 +128,84 @@ def test_unknown_policy_same_error_everywhere():
             alone_policy="pdac",
         )
     assert str(direct.value) in str(via_spec.value)
+
+
+# -- one content hash per job per campaign handle ------------------------------
+
+
+def test_each_campaign_handle_hashes_each_job_once(tmp_path, monkeypatch):
+    from repro.runtime import parallel
+
+    spec = CampaignSpec.build(
+        "hash-once", [["swim", "milc"]], ["demand-first", "padc"], 300
+    )
+    directory = tmp_path / "campaign"
+    api.campaign(spec, directory=directory)
+
+    hashed = []
+    real_cache_key = parallel.cache_key
+
+    def counting_cache_key(job):
+        hashed.append(id(job))
+        return real_cache_key(job)
+
+    monkeypatch.setattr(parallel, "cache_key", counting_cache_key)
+
+    def assert_hashed_once(handle):
+        expanded = {id(job.job) for job in handle.jobs()}
+        assert len(expanded) == 4
+        assert set(hashed) <= expanded
+        assert len(hashed) == len(set(hashed))
+        hashed.clear()
+
+    # A warm rerun binds one handle and reads every job's state and result.
+    run = api.campaign(spec, directory=directory)
+    assert_hashed_once(run.campaign)
+
+    handle = api.campaign_open(directory)
+    assert handle.status()["complete"]
+    assert handle.export().count("\n") == 5
+    assert handle.metrics()["progress"]["done"] == 4
+    assert_hashed_once(handle.inner)
+
+
+def test_export_and_metrics_read_each_source_once(tmp_path, monkeypatch):
+    from repro.campaign import run_worker
+    from repro.campaign.jobstore import SqliteJobStore
+    from repro.dashboard.aggregate import fdp_histogram, queue_pressure, series
+    from repro.runtime.store import ResultStore
+
+    spec = CampaignSpec.build(
+        "read-once", [["swim", "milc"]], ["demand-first", "padc"], 300
+    )
+    handle = api.Campaign.create(spec, directory=tmp_path / "campaign")
+    run_worker(handle.inner, stream=True)
+    keys = sorted(job.key for job in handle.unique_jobs())
+
+    reads = []
+    real_get = ResultStore.get
+
+    def counting_get(self, key):
+        reads.append(key)
+        return real_get(self, key)
+
+    monkeypatch.setattr(ResultStore, "get", counting_get)
+    rows = list(csv.DictReader(io.StringIO(handle.export())))
+    # Alone results feed both the grid rows' WS and their own rows.
+    assert sorted(reads) == keys
+    assert [bool(row["ws"]) for row in rows] == [True, True, False, False]
+
+    polls = []
+    real_since = SqliteJobStore.samples_since
+
+    def counting_since(self, *args, **kwargs):
+        polls.append(args)
+        return real_since(self, *args, **kwargs)
+
+    monkeypatch.setattr(SqliteJobStore, "samples_since", counting_since)
+    metrics = handle.metrics()
+    assert len(polls) == 1
+    assert metrics["pressure"]["intervals"] > 0
+    assert metrics["series"] == series(handle.inner)
+    assert metrics["fdp"] == fdp_histogram(handle.inner)
+    assert metrics["pressure"] == queue_pressure(handle.inner)

@@ -232,6 +232,21 @@ def test_edited_trace_invalidates_cache_key(synth_rtr):
     assert before != after
 
 
+def test_new_campaign_handle_sees_an_edited_trace(synth_rtr, tmp_path):
+    spec = CampaignSpec.build(
+        "edited", [[f"trace:{synth_rtr}"]], ["padc"], 300, include_alone=False
+    )
+    created = api.Campaign.create(spec, directory=tmp_path / "campaign")
+    before = created.unique_jobs()[0].key
+    write_trace(synth_rtr, make_trace("mcf", seed=7), limit=4000)
+    reopened = api.campaign_open(created.directory)
+    after = reopened.unique_jobs()[0].key
+    assert after != before
+    assert after == SimJob.make(
+        baseline_config(1, policy="padc"), [f"trace:{synth_rtr}"], 300
+    ).key()
+
+
 def test_window_knobs_are_part_of_identity(synth_rtr):
     config = baseline_config(1, policy="padc")
     base = SimJob.make(config, [f"trace:{synth_rtr}"], 500).key()
