@@ -3,14 +3,17 @@
 Average WS/HS and bus traffic over random 2-benchmark mixes (the paper
 averages 54 mixes; the quick scale uses fewer).
 
-:func:`multicore_overview` — shared by every multiprogrammed overview
-figure (9, 16, 17, 19-22, 24, 26, 27) — declares its whole grid as a
-:class:`~repro.campaign.CampaignSpec` and submits it through the
-campaign layer: every run is recorded in a persistent ledger, a crashed
-job no longer kills the sweep (resume re-runs only it), and the figure
-itself is just a view over the campaign's results.  Job content hashes
-are unchanged, so results are numerically identical to the old direct
-``run_policies``/``alone_ipcs`` path and share its cache entries.
+:func:`multicore_overview` — shared by every figure that averages
+random multiprogrammed mixes (9, 16, 17, 19-24, 26-32) — declares its
+whole grid as a :class:`~repro.campaign.CampaignSpec` and submits it
+through the campaign layer: every run is recorded in a persistent
+ledger, a crashed job no longer kills the sweep (resume re-runs only
+it), and the figure itself is just a view over the campaign's results.
+A sensitivity figure declares its points as :class:`PolicyVariant`
+values (a filter, permutation or runahead flag) or calls it once per
+swept ``overrides`` value (row-buffer size, prefetcher), then reshapes
+the rows.  Job content hashes match the direct
+``run_policies``/``alone_ipcs`` path, so both share cache entries.
 """
 
 from __future__ import annotations

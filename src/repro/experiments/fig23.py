@@ -7,51 +7,29 @@ locality becomes increasingly expensive.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.experiments.runner import (
-    DEFAULT_POLICIES,
-    ExperimentResult,
-    Scale,
-    average,
-    register,
-    run_policies,
-    speedup_metrics,
-)
-from repro.params import baseline_config
-from repro.workloads import workload_mixes
+from repro.experiments.fig09 import multicore_overview
+from repro.experiments.runner import ExperimentResult, Scale, register
 
 ROW_BUFFER_KB = (2, 4, 16, 64, 128)
 
 
-def _config(row_kb: int, policy: str):
-    return baseline_config(4, policy=policy, row_buffer_kb=row_kb)
-
-
 @register("fig23")
 def fig23(scale: Scale) -> ExperimentResult:
-    mixes = workload_mixes(4, max(2, scale.mixes_4core // 2), seed=100)
     result = ExperimentResult(
         "fig23",
         "Weighted speedup vs DRAM row-buffer size (4-core)",
         notes="Paper Fig.23: PADC consistently best across 2KB-128KB rows.",
     )
     for row_kb in ROW_BUFFER_KB:
-        ws = {policy: [] for policy in DEFAULT_POLICIES}
-        for index, mix in enumerate(mixes):
-            names = [profile.name for profile in mix]
-            runs = run_policies(
-                names,
-                scale.accesses,
-                seed=index,
-                config_builder=partial(_config, row_kb),
-            )
-            for policy in DEFAULT_POLICIES:
-                ws[policy].append(
-                    speedup_metrics(runs[policy], names, scale.accesses, seed=index)["ws"]
-                )
+        overview = multicore_overview(
+            "fig23",
+            "",
+            num_cores=4,
+            num_mixes=max(2, scale.mixes_4core // 2),
+            scale=scale,
+            overrides={"row_buffer_kb": row_kb},
+        )
         row = {"row_buffer_kb": row_kb}
-        for policy in DEFAULT_POLICIES:
-            row[policy] = average(ws[policy])
+        row.update((entry["policy"], entry["ws"]) for entry in overview.rows)
         result.rows.append(row)
     return result

@@ -7,15 +7,13 @@ pollution and raise prefetch accuracy), and APD's contribution shrinks.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentResult,
     Scale,
     average,
     register,
-    run_policies,
+    run_configs,
     speedup_metrics,
 )
 from repro.params import baseline_config
@@ -54,10 +52,6 @@ def _mixes():
     )
 
 
-def _config(cache_kb: int, policy: str):
-    return baseline_config(4, policy=policy, cache_kb_per_core=cache_kb)
-
-
 @register("fig25")
 def fig25(scale: Scale) -> ExperimentResult:
     mixes = _mixes()
@@ -70,19 +64,18 @@ def fig25(scale: Scale) -> ExperimentResult:
         alone_config = baseline_config(
             1, policy="demand-first", cache_kb_per_core=cache_kb
         )
+        configs = [
+            baseline_config(4, policy=policy, cache_kb_per_core=cache_kb)
+            for policy in DEFAULT_POLICIES
+        ]
         ws = {policy: [] for policy in DEFAULT_POLICIES}
         accesses = scale.accesses * 2  # long enough to exercise capacity
         for index, mix in enumerate(mixes):
-            runs = run_policies(
-                list(mix),
-                accesses,
-                seed=index,
-                config_builder=partial(_config, cache_kb),
-            )
-            for policy in DEFAULT_POLICIES:
+            runs = run_configs(configs, list(mix), accesses, seed=index)
+            for policy, run in zip(DEFAULT_POLICIES, runs):
                 ws[policy].append(
                     speedup_metrics(
-                        runs[policy],
+                        run,
                         list(mix),
                         accesses,
                         alone_config=alone_config,

@@ -7,59 +7,37 @@ traffic savings).
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.experiments.runner import (
-    ExperimentResult,
-    Scale,
-    average,
-    register,
-    run_policies,
-    speedup_metrics,
-)
-from repro.params import baseline_config
-from repro.workloads import workload_mixes
+from repro.experiments.fig09 import multicore_overview
+from repro.experiments.runner import ExperimentResult, Scale, register
 
 PREFETCHERS = ("stride", "cdc", "markov")
 POLICIES = ("no-pref", "demand-first", "demand-prefetch-equal", "padc")
 
 
-def _config(prefetcher: str, policy: str):
-    return baseline_config(4, policy=policy, prefetcher_kind=prefetcher)
-
-
 @register("fig28")
 def fig28(scale: Scale) -> ExperimentResult:
-    mixes = workload_mixes(4, max(2, scale.mixes_4core // 2), seed=100)
     result = ExperimentResult(
         "fig28",
         "PADC with stride, C/DC and Markov prefetchers (4-core)",
         notes="Paper Fig.28: PADC helps all three; Markov benefits least.",
     )
     for prefetcher in PREFETCHERS:
-        metrics = {policy: {"ws": [], "traffic": []} for policy in POLICIES}
-        for index, mix in enumerate(mixes):
-            names = [profile.name for profile in mix]
-            runs = run_policies(
-                names,
-                scale.accesses,
-                policies=POLICIES,
-                seed=index,
-                config_builder=partial(_config, prefetcher),
-            )
-            for policy in POLICIES:
-                speedups = speedup_metrics(
-                    runs[policy], names, scale.accesses, seed=index
-                )
-                metrics[policy]["ws"].append(speedups["ws"])
-                metrics[policy]["traffic"].append(runs[policy].total_traffic)
-        for policy in POLICIES:
+        overview = multicore_overview(
+            "fig28",
+            "",
+            num_cores=4,
+            num_mixes=max(2, scale.mixes_4core // 2),
+            scale=scale,
+            policies=POLICIES,
+            overrides={"prefetcher_kind": prefetcher},
+        )
+        for row in overview.rows:
             result.rows.append(
                 {
                     "prefetcher": prefetcher,
-                    "policy": policy,
-                    "ws": average(metrics[policy]["ws"]),
-                    "traffic": average(metrics[policy]["traffic"]),
+                    "policy": row["policy"],
+                    "ws": row["ws"],
+                    "traffic": row["traffic"],
                 }
             )
     return result

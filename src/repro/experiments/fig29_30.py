@@ -9,75 +9,50 @@ either filter.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.experiments.runner import (
-    ExperimentResult,
-    Scale,
-    average,
-    register,
-    run_policies,
-    speedup_metrics,
-)
-from repro.params import baseline_config
-from repro.workloads import workload_mixes
+from repro.campaign import PolicyVariant
+from repro.experiments.fig09 import multicore_overview
+from repro.experiments.runner import ExperimentResult, Scale, register
 
 FIG29_VARIANTS = (
-    ("demand-first", "demand-first", None),
-    ("demand-first-ddpf", "demand-first", "ddpf"),
-    ("demand-first-fdp", "demand-first", "fdp"),
-    ("demand-first-apd", "demand-first-apd", None),
-    ("aps-ddpf", "aps", "ddpf"),
-    ("aps-fdp", "aps", "fdp"),
-    ("aps-apd (PADC)", "padc", None),
+    PolicyVariant.make("demand-first"),
+    PolicyVariant.make("demand-first-ddpf", "demand-first", filter_kind="ddpf"),
+    PolicyVariant.make("demand-first-fdp", "demand-first", filter_kind="fdp"),
+    PolicyVariant.make("demand-first-apd"),
+    PolicyVariant.make("aps-ddpf", "aps", filter_kind="ddpf"),
+    PolicyVariant.make("aps-fdp", "aps", filter_kind="fdp"),
+    PolicyVariant.make("aps-apd (PADC)", "padc"),
 )
 
 FIG30_VARIANTS = (
-    ("demand-first", "demand-first", None),
-    ("demand-pref-equal", "demand-prefetch-equal", None),
-    ("demand-pref-equal-ddpf", "demand-prefetch-equal", "ddpf"),
-    ("demand-pref-equal-fdp", "demand-prefetch-equal", "fdp"),
-    ("aps", "aps", None),
-    ("aps-apd (PADC)", "padc", None),
+    PolicyVariant.make("demand-first"),
+    PolicyVariant.make("demand-pref-equal", "demand-prefetch-equal"),
+    PolicyVariant.make(
+        "demand-pref-equal-ddpf", "demand-prefetch-equal", filter_kind="ddpf"
+    ),
+    PolicyVariant.make(
+        "demand-pref-equal-fdp", "demand-prefetch-equal", filter_kind="fdp"
+    ),
+    PolicyVariant.make("aps"),
+    PolicyVariant.make("aps-apd (PADC)", "padc"),
 )
-
-
-def _filter_config(variants, label: str):
-    for name, policy, filter_kind in variants:
-        if name == label:
-            return baseline_config(4, policy=policy, filter_kind=filter_kind)
-    raise KeyError(label)
 
 
 def _filters_experiment(
     experiment_id: str, title: str, variants, scale: Scale
 ) -> ExperimentResult:
-    mixes = workload_mixes(4, max(2, scale.mixes_4core // 2), seed=100)
-    labels = [name for name, _policy, _filter in variants]
-    metrics = {label: {"ws": [], "traffic": []} for label in labels}
-    for index, mix in enumerate(mixes):
-        names = [profile.name for profile in mix]
-        runs = run_policies(
-            names,
-            scale.accesses,
-            policies=labels,
-            seed=index,
-            config_builder=partial(_filter_config, variants),
-        )
-        for label in labels:
-            speedups = speedup_metrics(runs[label], names, scale.accesses, seed=index)
-            metrics[label]["ws"].append(speedups["ws"])
-            metrics[label]["traffic"].append(runs[label].total_traffic)
-    result = ExperimentResult(experiment_id, title)
-    for label in labels:
-        result.rows.append(
-            {
-                "variant": label,
-                "ws": average(metrics[label]["ws"]),
-                "traffic": average(metrics[label]["traffic"]),
-            }
-        )
-    return result
+    overview = multicore_overview(
+        experiment_id,
+        title,
+        num_cores=4,
+        num_mixes=max(2, scale.mixes_4core // 2),
+        scale=scale,
+        policies=variants,
+    )
+    rows = [
+        {"variant": row["policy"], "ws": row["ws"], "traffic": row["traffic"]}
+        for row in overview.rows
+    ]
+    return ExperimentResult(experiment_id, title, rows=rows)
 
 
 @register("fig29")

@@ -8,69 +8,33 @@ runahead improves the baseline ~3.7%, and PADC still adds +6.7% WS and
 
 from __future__ import annotations
 
-from functools import partial
+from repro.campaign import PolicyVariant
+from repro.experiments.fig09 import multicore_overview
+from repro.experiments.runner import ExperimentResult, Scale, register
 
-from repro.experiments.runner import (
-    ExperimentResult,
-    Scale,
-    average,
-    register,
-    run_policies,
-    speedup_metrics,
+VARIANTS = tuple(
+    PolicyVariant.make(f"{policy}-ra" if runahead else policy, policy, runahead=runahead)
+    for policy in ("no-pref", "demand-first", "aps", "padc")
+    for runahead in (False, True)
 )
-from repro.params import baseline_config
-from repro.workloads import workload_mixes
-
-VARIANTS = (
-    ("no-pref", False),
-    ("no-pref", True),
-    ("demand-first", False),
-    ("demand-first", True),
-    ("aps", False),
-    ("aps", True),
-    ("padc", False),
-    ("padc", True),
-)
-
-
-def _config(labels_to_variant, label: str):
-    policy, runahead = labels_to_variant[label]
-    return baseline_config(4, policy=policy, runahead=runahead)
 
 
 @register("fig32")
 def fig32(scale: Scale) -> ExperimentResult:
-    labels_to_variant = {
-        f"{policy}{'-ra' if runahead else ''}": (policy, runahead)
-        for policy, runahead in VARIANTS
-    }
-    labels = list(labels_to_variant)
-    mixes = workload_mixes(4, max(2, scale.mixes_4core // 2), seed=100)
-    metrics = {label: {"ws": [], "traffic": []} for label in labels}
-    for index, mix in enumerate(mixes):
-        names = [profile.name for profile in mix]
-        runs = run_policies(
-            names,
-            scale.accesses,
-            policies=labels,
-            seed=index,
-            config_builder=partial(_config, labels_to_variant),
-        )
-        for label in labels:
-            speedups = speedup_metrics(runs[label], names, scale.accesses, seed=index)
-            metrics[label]["ws"].append(speedups["ws"])
-            metrics[label]["traffic"].append(runs[label].total_traffic)
-    result = ExperimentResult(
+    overview = multicore_overview(
         "fig32",
         "PADC on a runahead execution processor (4-core)",
+        num_cores=4,
+        num_mixes=max(2, scale.mixes_4core // 2),
+        scale=scale,
+        policies=VARIANTS,
+    )
+    return ExperimentResult(
+        "fig32",
+        overview.title,
+        rows=[
+            {"variant": row["policy"], "ws": row["ws"], "traffic": row["traffic"]}
+            for row in overview.rows
+        ],
         notes="Paper Fig.32: PADC remains effective with runahead enabled.",
     )
-    for label in labels:
-        result.rows.append(
-            {
-                "variant": label,
-                "ws": average(metrics[label]["ws"]),
-                "traffic": average(metrics[label]["traffic"]),
-            }
-        )
-    return result

@@ -4,15 +4,23 @@
   for the full overnight reproduction).
 * :class:`ExperimentResult` — id, title, rows (list of dicts) and notes,
   with an ASCII table renderer.
-* :func:`run_policies` / :func:`alone_ipc` / :func:`alone_ipcs` —
-  memoized simulation helpers shared by all experiments (the paper
-  measures IPC_alone with the demand-first policy, §5.2).
+* :func:`run_policies` / :func:`run_configs` / :func:`alone_ipc` /
+  :func:`alone_ipcs` — memoized simulation helpers (the paper measures
+  IPC_alone with the demand-first policy, §5.2).
 
-All simulations submit through :func:`repro.api.submit_many`:
-independent jobs fan out over worker processes when
-``--jobs``/``$REPRO_JOBS`` asks for more than one, and every result is
-persisted to the on-disk cache so a rerun at the same scale and seeds
-performs no new simulation work.
+Figures that average random multiprogrammed mixes (9, 16, 17, 19-24,
+26-32) run as campaigns through
+:func:`repro.experiments.fig09.multicore_overview`.  The rest submit
+:class:`~repro.runtime.SimJob` values directly, fig04 through the
+runtime and the others through these helpers: the single-core sweeps
+(fig01, fig06-08, tables 5 and 7), the one-mix case studies (figs
+10-15) and Tables 8-10, which report per-core speedups, and fig25,
+fig04 and the ablations, whose profile objects, per-size alone config
+or nested config fields a :class:`~repro.campaign.CampaignSpec` cannot
+express.  Through :func:`repro.api.submit_many`, independent jobs fan
+out over ``--jobs``/``$REPRO_JOBS`` worker processes, and every result
+is persisted to the on-disk cache so a rerun at the same scale and
+seeds performs no new simulation work.
 """
 
 from __future__ import annotations
@@ -229,23 +237,16 @@ def run_policies(
     accesses: int,
     policies: Sequence[str] = DEFAULT_POLICIES,
     seed: int = 0,
-    config_builder: Optional[Callable[[str], SystemConfig]] = None,
     **sim_kwargs,
 ) -> Dict[str, SimResult]:
-    """Run one workload under several policies and return the results.
+    """Run one workload under several baseline policies and return the results.
 
     The per-policy runs are independent, so they form one batch for the
     runtime: cache hits load from disk, misses fan out over ``--jobs``
     worker processes.
     """
-    runs = []
-    for policy in policies:
-        if config_builder is not None:
-            config = config_builder(policy)
-        else:
-            config = baseline_config(len(benchmarks), policy=policy)
-        runs.append((config, benchmarks))
-    results = api.submit_many(runs, accesses, seed=seed, **sim_kwargs)
+    configs = [baseline_config(len(benchmarks), policy=policy) for policy in policies]
+    results = run_configs(configs, benchmarks, accesses, seed=seed, **sim_kwargs)
     return dict(zip(policies, results))
 
 

@@ -7,7 +7,9 @@ from repro.experiments.fig04 import HISTOGRAM_EDGES, _bucket
 from repro.experiments.fig19_20 import RANK_POLICIES
 from repro.experiments.fig21_22 import DUAL_CHANNEL
 from repro.experiments.fig26_27 import SHARED_L2
-from repro.experiments.fig29_30 import FIG29_VARIANTS, _filter_config
+from repro.experiments.fig29_30 import FIG29_VARIANTS, FIG30_VARIANTS
+from repro.experiments.fig31 import VARIANTS as FIG31_VARIANTS
+from repro.experiments.fig32 import VARIANTS as FIG32_VARIANTS
 from repro.experiments.single_core import FIG6_BENCHMARKS, _bench_list
 from repro.experiments.runner import Scale
 
@@ -55,14 +57,38 @@ class TestDeclarativeConfigVariants:
         assert config.cache.shared
         assert config.cache.size_bytes == 4 * 512 * 1024
 
-    def test_filter_config_resolves_every_variant(self):
-        for label, _policy, filter_kind in FIG29_VARIANTS:
-            config = _filter_config(FIG29_VARIANTS, label)
-            assert config.prefetcher.filter_kind == filter_kind
+    @pytest.mark.parametrize("variants", [FIG29_VARIANTS, FIG30_VARIANTS])
+    def test_filter_variants_reach_filter_kind_and_policy(self, variants):
+        configs = self._grid_configs(variants, {})
+        assert list(configs) == [variant.label for variant in variants]
+        for variant in variants:
+            config = configs[variant.label]
+            assert config.prefetcher.filter_kind == dict(variant.overrides).get(
+                "filter_kind"
+            )
+            assert config.policy == variant.policy
 
-    def test_filter_config_unknown_label(self):
-        with pytest.raises(KeyError):
-            _filter_config(FIG29_VARIANTS, "nonsense")
+    def test_filter_variants_name_the_paper_points(self):
+        configs = self._grid_configs(FIG29_VARIANTS, {})
+        assert configs["aps-ddpf"].prefetcher.filter_kind == "ddpf"
+        assert configs["aps-ddpf"].policy == "aps"
+        assert configs["demand-first-fdp"].prefetcher.filter_kind == "fdp"
+        assert configs["demand-first-apd"].prefetcher.filter_kind is None
+        assert configs["aps-apd (PADC)"].policy == "padc"
+
+    def test_permutation_variants(self):
+        configs = self._grid_configs(FIG31_VARIANTS, {})
+        assert len(configs) == 8
+        for label, config in configs.items():
+            assert config.dram.permutation_interleaving == label.endswith("-perm")
+            assert config.policy == label.replace("-perm", "")
+
+    def test_runahead_variants(self):
+        configs = self._grid_configs(FIG32_VARIANTS, {})
+        assert len(configs) == 8
+        for label, config in configs.items():
+            assert config.core.runahead == label.endswith("-ra")
+            assert config.policy == label.replace("-ra", "")
 
 
 class TestBenchList:

@@ -54,16 +54,6 @@ class TestRunPolicies:
         assert runs["no-pref"].cores[0].pf_sent == 0
         assert runs["padc"].cores[0].loads == 500
 
-    def test_config_builder_used(self):
-        calls = []
-
-        def builder(policy):
-            calls.append(policy)
-            return baseline_config(1, policy=policy)
-
-        run_policies(["swim"], 300, policies=("padc",), config_builder=builder)
-        assert calls == ["padc"]
-
 
 class TestSpeedupMetrics:
     def test_metrics_computed(self):
