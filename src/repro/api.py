@@ -29,6 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.params import SystemConfig
 from repro.runtime import Runtime, SimJob, get_runtime
+from repro.runtime.parallel import SIM_KWARG_NAMES, suggest
 from repro.sim import results as _results
 from repro.sim import system as _system
 from repro.sim.results import SimResult
@@ -83,6 +84,14 @@ def _make_job(
     seed: int,
     **sim_kwargs,
 ) -> SimJob:
+    # Reject a misspelt knob here, before it is keyed or shipped to a
+    # worker where it would only fail inside simulate().
+    for name in sim_kwargs:
+        if name not in SIM_KWARG_NAMES:
+            raise TypeError(
+                f"unknown simulate keyword {name!r}{suggest(name, SIM_KWARG_NAMES)}; "
+                f"known keywords: {', '.join(SIM_KWARG_NAMES)}"
+            )
     # Default-valued knobs are dropped so a call that merely spells out a
     # default hashes to the same cache key as one that omits it.  ``None``
     # always means "default"; ``False`` is also the default for the two

@@ -27,9 +27,11 @@ Job states live in the campaign's :class:`~repro.campaign.jobstore
 by an older build that journaled elsewhere — simply starts with every
 job ``pending``; each then resolves as a result-store hit.
 
-Campaign results are always persisted to the store, even under
-``--no-cache``/``$REPRO_CACHE=0`` — a campaign *is* its on-disk record;
-point ``--cache-dir`` somewhere fresh for a cold run.
+Under ``--no-cache``/``$REPRO_CACHE=0``, :func:`submit` runs the
+campaign in a private temporary directory, holding its result store and
+campaign directory, and deletes it before returning: nothing is read
+from the cache or left in it.  :func:`drain` (and so ``python -m
+repro.campaign``) always persists — a campaign *is* its on-disk record.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.campaign.jobstore import DB_NAME, JobState, SqliteJobStore, status_counts
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand, unique_jobs
 from repro.campaign.worker import run_worker
-from repro.runtime import get_runtime
+from repro.runtime import Runtime, get_runtime
 from repro.sim.results import SimResult
 
 SPEC_FILE = "campaign.json"
@@ -348,9 +350,16 @@ def submit(
     rerun touches no simulation), executes whatever is not ``done``, and
     raises :class:`CampaignError` listing the casualties if anything
     failed.  The returned :class:`CampaignRun` resolves grid cells to
-    :class:`~repro.sim.results.SimResult` values.
+    :class:`~repro.sim.results.SimResult` values.  With the runtime's
+    cache disabled, it runs in a temporary store deleted on return.
     """
     runtime = runtime or get_runtime()
+    if not runtime.cache_enabled:
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as private:
+            if directory is None:
+                directory = default_directory(spec, Path(private) / "campaigns")
+            private_runtime = Runtime(runtime.jobs, private, cache_enabled=True)
+            return submit(spec, directory, private_runtime, retries)
     if directory is None:
         directory = default_directory(spec, campaigns_root(runtime.store.root))
     campaign = Campaign.create(spec, directory)

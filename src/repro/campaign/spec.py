@@ -19,7 +19,6 @@ uninterrupted campaigns bit-for-bit comparable.
 
 from __future__ import annotations
 
-import difflib
 import inspect
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.params import PolicyError, baseline_config, resolve_policy
 from repro.runtime import SimJob, content_hash
+from repro.runtime.parallel import JOB_SIM_ARGS, SIM_KWARG_NAMES, suggest
 from repro.workloads.profiles import ALL_BENCHMARKS
 
 SPEC_VERSION = 1
@@ -62,11 +62,6 @@ def _known_benchmark_names() -> List[str]:
     return sorted(names)
 
 
-def _suggest(name: str, known: Sequence[str]) -> str:
-    close = difflib.get_close_matches(name, known, n=3)
-    return f" (did you mean {', '.join(close)}?)" if close else ""
-
-
 def _config_override_names() -> List[str]:
     parameters = inspect.signature(baseline_config).parameters
     return sorted(set(parameters) - {"num_cores", "policy"})
@@ -78,24 +73,13 @@ def _check_overrides(overrides: Tuple[Tuple[str, object], ...], where: str) -> N
         if key not in known:
             raise SpecError(
                 f"{where}: unknown baseline_config override {key!r}"
-                f"{_suggest(str(key), known)}; known overrides: {', '.join(known)}"
+                f"{suggest(str(key), known)}; known overrides: {', '.join(known)}"
             )
         if not isinstance(value, _PRIMITIVES):
             raise SpecError(
                 f"{where}: override {key!r} has non-JSON value "
                 f"{value!r} ({type(value).__name__}); use str/int/float/bool/None"
             )
-
-
-# simulate() arguments every campaign job fills in itself.
-_JOB_SIM_ARGS = ("config", "benchmarks", "max_accesses_per_core", "seed")
-
-
-def _sim_kwarg_names() -> List[str]:
-    from repro.sim.system import simulate
-
-    parameters = inspect.signature(simulate).parameters
-    return sorted(set(parameters) - set(_JOB_SIM_ARGS))
 
 
 def _as_override_tuple(overrides) -> Tuple[Tuple[str, object], ...]:
@@ -305,7 +289,7 @@ class CampaignSpec:
                 elif name not in known_benchmarks:
                     raise SpecError(
                         f"workload {index}: unknown benchmark {name!r}"
-                        f"{_suggest(name, known_benchmarks)}; "
+                        f"{suggest(name, known_benchmarks)}; "
                         f"{len(known_benchmarks)} known names include "
                         f"{', '.join(known_benchmarks[:6])}, ..."
                     )
@@ -359,18 +343,17 @@ class CampaignSpec:
             resolve_policy(self.alone_policy)
         except PolicyError as error:
             raise SpecError(f"alone_policy: {error}") from None
-        known_kwargs = _sim_kwarg_names()
         for key, value in self.sim_kwargs:
-            if key in _JOB_SIM_ARGS:
+            if key in JOB_SIM_ARGS:
                 raise SpecError(
                     f"sim_kwargs[{key!r}] is set by every job from the spec's "
                     "workloads, accesses and seeds; remove it"
                 )
-            if key not in known_kwargs:
-                hint = _suggest(str(key), known_kwargs)
+            if key not in SIM_KWARG_NAMES:
+                hint = suggest(str(key), SIM_KWARG_NAMES)
                 raise SpecError(
                     f"unknown sim_kwargs key {key!r}{hint}; "
-                    f"known keys: {', '.join(known_kwargs)}"
+                    f"known keys: {', '.join(SIM_KWARG_NAMES)}"
                 )
             if not isinstance(value, _PRIMITIVES):
                 raise SpecError(
@@ -429,7 +412,7 @@ class CampaignSpec:
         for key in payload:
             if key not in SPEC_FIELDS:
                 raise SpecError(
-                    f"unknown spec field {key!r}{_suggest(str(key), SPEC_FIELDS)}; "
+                    f"unknown spec field {key!r}{suggest(str(key), SPEC_FIELDS)}; "
                     f"known fields: {', '.join(SPEC_FIELDS)}"
                 )
         for key in ("name", "accesses", "workloads", "policies"):

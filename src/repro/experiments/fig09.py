@@ -10,9 +10,9 @@ through the campaign layer: every run is recorded in a persistent
 ledger, a crashed job no longer kills the sweep (resume re-runs only
 it), and the figure itself is just a view over the campaign's results.
 A sensitivity figure declares its points as :class:`PolicyVariant`
-values (a filter, permutation or runahead flag) or calls it once per
-swept ``overrides`` value (row-buffer size, prefetcher), then reshapes
-the rows.  Job content hashes match the direct
+values (a filter, permutation or runahead flag; :func:`variant_overview`)
+or calls it once per swept ``overrides`` value (row-buffer size,
+prefetcher), then reshapes the rows.  Job content hashes match the direct
 ``run_policies``/``alone_ipcs`` path, so both share cache entries.
 """
 
@@ -91,6 +91,26 @@ def multicore_overview(
         )
     result.notes = f"averaged over {len(mixes)} random {num_cores}-core mixes"
     return result
+
+
+def variant_overview(
+    experiment_id: str, title: str, variants: Sequence, scale: Scale
+) -> ExperimentResult:
+    """WS and traffic per policy variant on the sensitivity figures' 4-core
+    grid (half the scale's 4-core mixes, at least two), one row each."""
+    overview = multicore_overview(
+        experiment_id,
+        title,
+        num_cores=4,
+        num_mixes=max(2, scale.mixes_4core // 2),
+        scale=scale,
+        policies=variants,
+    )
+    rows = [
+        {"variant": row["policy"], "ws": row["ws"], "traffic": row["traffic"]}
+        for row in overview.rows
+    ]
+    return ExperimentResult(experiment_id, title, rows=rows)
 
 
 @register("fig09")

@@ -10,7 +10,7 @@ either filter.
 from __future__ import annotations
 
 from repro.campaign import PolicyVariant
-from repro.experiments.fig09 import multicore_overview
+from repro.experiments.fig09 import variant_overview
 from repro.experiments.runner import ExperimentResult, Scale, register
 
 FIG29_VARIANTS = (
@@ -37,27 +37,9 @@ FIG30_VARIANTS = (
 )
 
 
-def _filters_experiment(
-    experiment_id: str, title: str, variants, scale: Scale
-) -> ExperimentResult:
-    overview = multicore_overview(
-        experiment_id,
-        title,
-        num_cores=4,
-        num_mixes=max(2, scale.mixes_4core // 2),
-        scale=scale,
-        policies=variants,
-    )
-    rows = [
-        {"variant": row["policy"], "ws": row["ws"], "traffic": row["traffic"]}
-        for row in overview.rows
-    ]
-    return ExperimentResult(experiment_id, title, rows=rows)
-
-
 @register("fig29")
 def fig29(scale: Scale) -> ExperimentResult:
-    return _filters_experiment(
+    return variant_overview(
         "fig29",
         "DDPF / FDP / APD with demand-first and APS (4-core)",
         FIG29_VARIANTS,
@@ -67,7 +49,7 @@ def fig29(scale: Scale) -> ExperimentResult:
 
 @register("fig30")
 def fig30(scale: Scale) -> ExperimentResult:
-    return _filters_experiment(
+    return variant_overview(
         "fig30",
         "DDPF / FDP with demand-prefetch-equal vs PADC (4-core)",
         FIG30_VARIANTS,

@@ -9,7 +9,7 @@ PADC remains complementary (+5.4% WS over demand-first-with-permutation,
 from __future__ import annotations
 
 from repro.campaign import PolicyVariant
-from repro.experiments.fig09 import multicore_overview
+from repro.experiments.fig09 import variant_overview
 from repro.experiments.runner import ExperimentResult, Scale, register
 
 VARIANTS = tuple(
@@ -23,20 +23,11 @@ VARIANTS = tuple(
 
 @register("fig31")
 def fig31(scale: Scale) -> ExperimentResult:
-    overview = multicore_overview(
+    result = variant_overview(
         "fig31",
         "Permutation-based page interleaving (4-core)",
-        num_cores=4,
-        num_mixes=max(2, scale.mixes_4core // 2),
-        scale=scale,
-        policies=VARIANTS,
+        VARIANTS,
+        scale,
     )
-    return ExperimentResult(
-        "fig31",
-        overview.title,
-        rows=[
-            {"variant": row["policy"], "ws": row["ws"], "traffic": row["traffic"]}
-            for row in overview.rows
-        ],
-        notes="Paper Fig.31: PADC complements the remapping scheme.",
-    )
+    result.notes = "Paper Fig.31: PADC complements the remapping scheme."
+    return result

@@ -9,11 +9,13 @@ runahead improves the baseline ~3.7%, and PADC still adds +6.7% WS and
 from __future__ import annotations
 
 from repro.campaign import PolicyVariant
-from repro.experiments.fig09 import multicore_overview
+from repro.experiments.fig09 import variant_overview
 from repro.experiments.runner import ExperimentResult, Scale, register
 
 VARIANTS = tuple(
-    PolicyVariant.make(f"{policy}-ra" if runahead else policy, policy, runahead=runahead)
+    PolicyVariant.make(
+        f"{policy}-ra" if runahead else policy, policy, runahead=runahead
+    )
     for policy in ("no-pref", "demand-first", "aps", "padc")
     for runahead in (False, True)
 )
@@ -21,20 +23,11 @@ VARIANTS = tuple(
 
 @register("fig32")
 def fig32(scale: Scale) -> ExperimentResult:
-    overview = multicore_overview(
+    result = variant_overview(
         "fig32",
         "PADC on a runahead execution processor (4-core)",
-        num_cores=4,
-        num_mixes=max(2, scale.mixes_4core // 2),
-        scale=scale,
-        policies=VARIANTS,
+        VARIANTS,
+        scale,
     )
-    return ExperimentResult(
-        "fig32",
-        overview.title,
-        rows=[
-            {"variant": row["policy"], "ws": row["ws"], "traffic": row["traffic"]}
-            for row in overview.rows
-        ],
-        notes="Paper Fig.32: PADC remains effective with runahead enabled.",
-    )
+    result.notes = "Paper Fig.32: PADC remains effective with runahead enabled."
+    return result

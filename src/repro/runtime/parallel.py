@@ -23,6 +23,8 @@ Knobs (flag overrides env, env overrides default):
 
 from __future__ import annotations
 
+import difflib
+import inspect
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +35,23 @@ from repro.params import SystemConfig
 from repro.runtime.hashing import canonicalize
 from repro.runtime.store import ResultStore, cache_key
 from repro.sim.results import SimResult
+from repro.sim.system import simulate as _simulate
+
+# simulate() arguments a job fills from its own fields; every other
+# simulate() keyword may ride in its ``sim_kwargs``.
+JOB_SIM_ARGS = ("config", "benchmarks", "max_accesses_per_core", "seed")
+
+# Read once from simulate()'s signature, so a new knob needs no edit here.
+SIM_KWARG_NAMES = tuple(
+    sorted(set(inspect.signature(_simulate).parameters) - set(JOB_SIM_ARGS))
+)
+
+
+def suggest(name: str, known: Sequence[str]) -> str:
+    """`` (did you mean a, b?)`` naming the entries of ``known`` closest
+    to ``name``, or ``""`` when none is close."""
+    close = difflib.get_close_matches(name, known, n=3)
+    return f" (did you mean {', '.join(close)}?)" if close else ""
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,24 @@ def test_submit_prunes_default_knobs_from_cache_key():
     assert flagged.key() == instanced.key()
 
 
+def test_submit_rejects_unknown_simulate_keyword(monkeypatch):
+    """A misspelt knob fails at the api edge, before any job is keyed or
+    run, naming the key and the closest accepted names."""
+    import repro.sim
+    from repro.experiments.runner import run_policies
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be keyed or run")
+
+    monkeypatch.setattr(repro.sim, "simulate", forbidden)
+    monkeypatch.setattr(SimJob, "key", forbidden)
+    config = baseline_config(1)
+    with pytest.raises(TypeError, match=r"'max_cyles' \(did you mean max_cycles"):
+        api.submit(config, ["swim"], 100, max_cyles=50)
+    with pytest.raises(TypeError, match="'config_builder'"):
+        run_policies(["swim"], 100, config_builder=lambda policy: config)
+
+
 def test_submit_many_accepts_pairs_and_jobs():
     config = tiny_system_config()
     job = SimJob.make(config, ["art"], 500, seed=5)

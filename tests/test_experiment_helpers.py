@@ -1,7 +1,5 @@
 """Unit tests for experiment-module helpers (no big simulations)."""
 
-import pytest
-
 from repro.campaign import CampaignSpec, expand
 from repro.experiments.fig04 import HISTOGRAM_EDGES, _bucket
 from repro.experiments.fig19_20 import RANK_POLICIES
@@ -28,7 +26,7 @@ class TestHistogramBuckets:
 
 class TestDeclarativeConfigVariants:
     """The figures' PolicyVariant/override declarations expand to the
-    same SystemConfigs the old per-figure config_builder closures built."""
+    SystemConfigs of the paper's points."""
 
     def _grid_configs(self, policies, overrides, cores=4):
         spec = CampaignSpec.build(
@@ -57,18 +55,15 @@ class TestDeclarativeConfigVariants:
         assert config.cache.shared
         assert config.cache.size_bytes == 4 * 512 * 1024
 
-    @pytest.mark.parametrize("variants", [FIG29_VARIANTS, FIG30_VARIANTS])
-    def test_filter_variants_reach_filter_kind_and_policy(self, variants):
-        configs = self._grid_configs(variants, {})
-        assert list(configs) == [variant.label for variant in variants]
-        for variant in variants:
-            config = configs[variant.label]
-            assert config.prefetcher.filter_kind == dict(variant.overrides).get(
-                "filter_kind"
-            )
-            assert config.policy == variant.policy
-
-    def test_filter_variants_name_the_paper_points(self):
+    def test_filter_variants_reach_filter_kind_and_policy(self):
+        for variants in (FIG29_VARIANTS, FIG30_VARIANTS):
+            configs = self._grid_configs(variants, {})
+            assert list(configs) == [variant.label for variant in variants]
+            for variant in variants:
+                config = configs[variant.label]
+                expected = dict(variant.overrides).get("filter_kind")
+                assert config.prefetcher.filter_kind == expected
+                assert config.policy == variant.policy
         configs = self._grid_configs(FIG29_VARIANTS, {})
         assert configs["aps-ddpf"].prefetcher.filter_kind == "ddpf"
         assert configs["aps-ddpf"].policy == "aps"

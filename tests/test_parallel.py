@@ -7,6 +7,8 @@ is served back from the on-disk cache.  Every test here compares full
 headline metrics.
 """
 
+import tempfile
+
 import pytest
 
 from repro import runtime, sim
@@ -67,21 +69,31 @@ class TestSerialParallelEquivalence:
         assert alone_ipcs(MIX, ACCESSES, seed=SEED) == reference
 
 
+def _counting(monkeypatch):
+    calls = []
+    real = sim.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate", counting)
+    return calls
+
+
+MICRO = Scale(
+    accesses=300,
+    mixes_2core=1,
+    mixes_4core=1,
+    mixes_8core=1,
+    single_core_benches=2,
+)
+
+
 class TestWarmCacheSkipsSimulation:
-    def _counting(self, monkeypatch):
-        calls = []
-        real = sim.simulate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "simulate", counting)
-        return calls
-
     def test_run_policies_warm_rerun_is_simulation_free(self, tmp_path, monkeypatch):
         runtime.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
-        calls = self._counting(monkeypatch)
+        calls = _counting(monkeypatch)
         _run_and_measure()
         cold = len(calls)
         assert cold == len(POLICIES) + len(MIX)  # sweep + alone runs
@@ -89,29 +101,44 @@ class TestWarmCacheSkipsSimulation:
         assert len(calls) == cold
 
     def test_experiment_warm_rerun_is_simulation_free(self, tmp_path, monkeypatch):
-        scale = Scale(
-            accesses=300,
-            mixes_2core=1,
-            mixes_4core=1,
-            mixes_8core=1,
-            single_core_benches=2,
-        )
         runtime.configure(jobs=2, cache_dir=str(tmp_path / "cache"))
         _ALONE_CACHE.clear()
-        cold = run_experiment("fig09", scale)
-        calls = self._counting(monkeypatch)
+        cold = run_experiment("fig09", MICRO)
+        calls = _counting(monkeypatch)
         _ALONE_CACHE.clear()
-        warm = run_experiment("fig09", scale)
+        warm = run_experiment("fig09", MICRO)
         assert calls == []
         assert warm.rows == cold.rows
 
     def test_identical_jobs_in_one_batch_computed_once(self, tmp_path, monkeypatch):
-        calls = self._counting(monkeypatch)
+        calls = _counting(monkeypatch)
         executor = Runtime(jobs=1, cache_dir=str(tmp_path / "cache"))
         job = SimJob.make(baseline_config(1), ["swim"], 300, seed=1)
         first, second = executor.run_many([job, job])
         assert len(calls) == 1
         assert first.to_dict() == second.to_dict()
+
+
+class TestNoCache:
+    def test_campaign_figure_simulates_every_run_and_leaves_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A figure run as a campaign under --no-cache reads no stored
+        result and leaves nothing behind, in the cache directory or in
+        its private temporary directory."""
+        cache_dir, scratch = tmp_path / "cache", tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        runtime.configure(jobs=1, cache_dir=str(cache_dir), cache_enabled=False)
+        calls = _counting(monkeypatch)
+        first = run_experiment("fig31", MICRO)
+        cold = len(calls)
+        second = run_experiment("fig31", MICRO)
+        assert cold > 0
+        assert len(calls) == 2 * cold
+        assert second.rows == first.rows
+        assert not cache_dir.exists()
+        assert list(scratch.iterdir()) == []
 
 
 class TestWorkerFailureReporting:
