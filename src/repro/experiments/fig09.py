@@ -9,11 +9,12 @@ whole grid as a :class:`~repro.campaign.CampaignSpec` and submits it
 through the campaign layer: every run is recorded in a persistent
 ledger, a crashed job no longer kills the sweep (resume re-runs only
 it), and the figure itself is just a view over the campaign's results.
-A sensitivity figure declares its points as :class:`PolicyVariant`
-values (a filter, permutation or runahead flag; :func:`variant_overview`)
-or calls it once per swept ``overrides`` value (row-buffer size,
-prefetcher), then reshapes the rows.  Job content hashes match the direct
-``run_policies``/``alone_ipcs`` path, so both share cache entries.
+A sensitivity figure declares every point as one :class:`PolicyVariant`
+(a filter, permutation or runahead flag, or a swept row-buffer size,
+prefetcher or row policy; :func:`variant_overview`) in one campaign, so
+its points share the mixes' alone runs, then reshapes the rows.  Job
+content hashes match the direct ``run_policies``/``alone_ipcs`` path, so
+both share cache entries.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from repro.campaign import CampaignSpec, expand
 from repro.experiments.fig04 import HISTOGRAM_EDGES, _bucket
 from repro.experiments.fig19_20 import RANK_POLICIES
 from repro.experiments.fig21_22 import DUAL_CHANNEL
+from repro.experiments.fig24 import VARIANTS as FIG24_VARIANTS
 from repro.experiments.fig26_27 import SHARED_L2
 from repro.experiments.fig29_30 import FIG29_VARIANTS, FIG30_VARIANTS
 from repro.experiments.fig31 import VARIANTS as FIG31_VARIANTS
@@ -84,6 +85,14 @@ class TestDeclarativeConfigVariants:
         for label, config in configs.items():
             assert config.core.runahead == label.endswith("-ra")
             assert config.policy == label.replace("-ra", "")
+
+    def test_row_policy_variants(self):
+        configs = self._grid_configs(FIG24_VARIANTS, {})
+        assert len(configs) == 6
+        for label, config in configs.items():
+            policy, _, row_policy = label.rpartition("-")
+            assert config.dram.open_row_policy == (row_policy == "open")
+            assert config.policy == policy
 
 
 class TestBenchList:
