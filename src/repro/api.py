@@ -177,14 +177,16 @@ def campaign(
     ``spec`` may be a :class:`~repro.campaign.CampaignSpec`, a preset
     name from :mod:`repro.campaign.presets` (``"smoke"``, ``"paper"``),
     or a spec dict (as produced by ``CampaignSpec.to_dict`` / written by
-    hand).  Resume-aware: a warm rerun touches no simulation.
+    hand).  Resume-aware: a warm rerun touches no simulation.  Like
+    ``python -m repro.campaign run``, it always keeps the campaign and
+    its results on disk, even with the runtime's cache disabled.
     """
     # Imported lazily: repro.campaign pulls in repro.experiments, which
     # itself imports this module.
     from repro.campaign import executor as _executor
 
     spec = _coerce_spec(spec)
-    return _executor.submit(
+    return _executor.run_persistent(
         spec, directory=directory, runtime=runtime, retries=retries
     )
 

@@ -27,11 +27,12 @@ Job states live in the campaign's :class:`~repro.campaign.jobstore
 by an older build that journaled elsewhere — simply starts with every
 job ``pending``; each then resolves as a result-store hit.
 
-Under ``--no-cache``/``$REPRO_CACHE=0``, :func:`submit` runs the
-campaign in a private temporary directory, holding its result store and
-campaign directory, and deletes it before returning: nothing is read
-from the cache or left in it.  :func:`drain` (and so ``python -m
-repro.campaign``) always persists — a campaign *is* its on-disk record.
+Under ``--no-cache``/``$REPRO_CACHE=0``, :func:`submit` (the figure
+scripts' entry) runs the campaign in a private temporary directory,
+holding its result store and campaign directory, and deletes it before
+returning: nothing is read from the cache or left in it.
+:func:`run_persistent` (``api.campaign``) and :func:`drain` (``python -m
+repro.campaign``) always persist — a campaign *is* its on-disk record.
 """
 
 from __future__ import annotations
@@ -224,6 +225,14 @@ class CampaignRun:
         ]
 
     def require_complete(self) -> "CampaignRun":
+        self._raise_if_incomplete(
+            f"resume with: python -m repro.campaign resume {self.campaign.directory}"
+        )
+        return self
+
+    def _raise_if_incomplete(self, advice: str) -> None:
+        """Raise :class:`CampaignError` listing the unfinished jobs, then
+        ``advice``; return if every job is done."""
         incomplete = self.incomplete()
         if incomplete:
             lines = []
@@ -237,9 +246,8 @@ class CampaignRun:
             raise CampaignError(
                 f"campaign {self.campaign.spec.name!r} has "
                 f"{len(incomplete)} unfinished job(s):\n" + "\n".join(lines) + "\n"
-                f"resume with: python -m repro.campaign resume {self.campaign.directory}"
+                + advice
             )
-        return self
 
     # -- result lookup by grid coordinates ------------------------------------
 
@@ -343,7 +351,7 @@ def submit(
     runtime=None,
     retries: int = 1,
 ) -> CampaignRun:
-    """Run a spec to completion through its persistent campaign.
+    """Run a spec to completion through its campaign.
 
     This is the library entry point the figure scripts use: it binds the
     spec to its canonical campaign directory (resume-aware, so a warm
@@ -351,15 +359,37 @@ def submit(
     raises :class:`CampaignError` listing the casualties if anything
     failed.  The returned :class:`CampaignRun` resolves grid cells to
     :class:`~repro.sim.results.SimResult` values.  With the runtime's
-    cache disabled, it runs in a temporary store deleted on return.
+    cache disabled, the result store and the default campaign directory
+    are a temporary directory deleted on return, so a failed campaign
+    cannot be resumed.
     """
     runtime = runtime or get_runtime()
-    if not runtime.cache_enabled:
-        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as private:
-            if directory is None:
-                directory = default_directory(spec, Path(private) / "campaigns")
-            private_runtime = Runtime(runtime.jobs, private, cache_enabled=True)
-            return submit(spec, directory, private_runtime, retries)
+    if runtime.cache_enabled:
+        return run_persistent(spec, directory, runtime, retries)
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as private:
+        private_runtime = Runtime(runtime.jobs, private, cache_enabled=True)
+        if directory is not None:
+            return run_persistent(spec, directory, private_runtime, retries)
+        directory = default_directory(spec, Path(private) / "campaigns")
+        result = drain(Campaign.create(spec, directory), private_runtime, retries)
+        result._raise_if_incomplete(
+            "--no-cache ran it in a temporary directory deleted on return, so it "
+            "cannot be resumed; run it with the cache on to keep its progress"
+        )
+        return result
+
+
+def run_persistent(
+    spec: CampaignSpec, directory=None, runtime=None, retries: int = 1
+) -> CampaignRun:
+    """Run a spec to completion in its persistent campaign directory.
+
+    Like :func:`submit` with the cache on, whatever the runtime's cache
+    setting: ``api.campaign`` runs here, since a campaign *is* its
+    on-disk record.  Raises :class:`CampaignError` listing the casualties
+    and how to resume if anything failed.
+    """
+    runtime = runtime or get_runtime()
     if directory is None:
         directory = default_directory(spec, campaigns_root(runtime.store.root))
     campaign = Campaign.create(spec, directory)

@@ -11,7 +11,8 @@ import tempfile
 
 import pytest
 
-from repro import runtime, sim
+from repro import api, runtime, sim
+from repro.campaign import CampaignError, CampaignSpec
 from repro.experiments import Scale, run_experiment
 from repro.experiments.runner import (
     _ALONE_CACHE,
@@ -139,6 +140,43 @@ class TestNoCache:
         assert second.rows == first.rows
         assert not cache_dir.exists()
         assert list(scratch.iterdir()) == []
+
+    def test_failed_campaign_figure_offers_no_resume(self, tmp_path, monkeypatch):
+        """Its temporary campaign is gone once the error is raised, so
+        the error names the casualties but no directory to resume."""
+        cache_dir, scratch = tmp_path / "cache", tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        runtime.configure(jobs=1, cache_dir=str(cache_dir), cache_enabled=False)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(sim, "simulate", boom)
+        with pytest.raises(CampaignError) as excinfo:
+            run_experiment("fig31", MICRO)
+        message = str(excinfo.value)
+        assert "unfinished job(s)" in message
+        assert "injected fault" in message
+        assert "resume" not in message.replace("cannot be resumed", "")
+        assert not cache_dir.exists()
+        assert list(scratch.iterdir()) == []
+
+    def test_api_campaign_persists(self, tmp_path, monkeypatch):
+        """api.campaign keeps its campaign on disk, as ``python -m
+        repro.campaign`` does, so a rerun simulates nothing."""
+        cache_dir = tmp_path / "cache"
+        runtime.configure(jobs=1, cache_dir=str(cache_dir), cache_enabled=False)
+        spec = CampaignSpec.build("persist", [MIX], POLICIES, ACCESSES)
+        first = api.campaign(spec)
+        assert first.campaign.directory.parent == cache_dir / "campaigns"
+        assert (first.campaign.directory / "campaign.json").is_file()
+        calls = _counting(monkeypatch)
+        second = api.campaign(spec)
+        assert calls == []
+        assert {key: result.to_dict() for key, result in second.results.items()} == {
+            key: result.to_dict() for key, result in first.results.items()
+        }
 
 
 class TestWorkerFailureReporting:
