@@ -165,6 +165,7 @@ class TestNoCache:
     def test_api_campaign_persists(self, tmp_path, monkeypatch):
         """api.campaign keeps its campaign on disk, as ``python -m
         repro.campaign`` does, so a rerun simulates nothing."""
+        monkeypatch.delenv("REPRO_CAMPAIGN_DIR", raising=False)
         cache_dir = tmp_path / "cache"
         runtime.configure(jobs=1, cache_dir=str(cache_dir), cache_enabled=False)
         spec = CampaignSpec.build("persist", [MIX], POLICIES, ACCESSES)
