@@ -8,7 +8,7 @@ ACC/COV, RBHU, SPL) live in :mod:`repro.metrics`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.telemetry.trace import SimTrace
@@ -125,8 +125,18 @@ class CoreResult:
         return useful_hits / useful_requests
 
     def to_dict(self) -> Dict:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return asdict(self)
+        """JSON-serializable form; inverse of :meth:`from_dict`.
+
+        A walk over the fields in declaration order, copying the
+        service-time lists so the dict shares no list with the result.
+        Keys, order and JSON text are those of the generic ``dataclasses``
+        conversion, which deep-copies every value on the way
+        (tests/test_result_serialization.py).
+        """
+        payload = {name: getattr(self, name) for name in _CORE_FIELDS}
+        payload["useful_service_times"] = list(self.useful_service_times)
+        payload["useless_service_times"] = list(self.useless_service_times)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CoreResult":
@@ -180,9 +190,17 @@ class SimResult:
 
         The round-trip is exact — ints stay ints and floats survive via
         shortest-repr JSON — so a cached result is interchangeable with
-        a live one (asserted in tests/test_result_cache.py).
+        a live one (asserted in tests/test_result_cache.py).  Like
+        :meth:`CoreResult.to_dict` it is a field walk that copies every
+        list, the accuracy history row by row.
         """
-        return asdict(self)
+        payload = {name: getattr(self, name) for name in _SIM_FIELDS}
+        payload["cores"] = [core.to_dict() for core in self.cores]
+        if self.accuracy_history is not None:
+            payload["accuracy_history"] = [list(row) for row in self.accuracy_history]
+        if self.trace is not None:
+            payload["trace"] = self.trace.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SimResult":
@@ -206,3 +224,8 @@ class SimResult:
             "rbh": self.row_buffer_hit_rate,
             "dropped": self.dropped_prefetches,
         }
+
+
+# Field names in declaration order, read once per class for to_dict.
+_CORE_FIELDS = tuple(f.name for f in fields(CoreResult))
+_SIM_FIELDS = tuple(f.name for f in fields(SimResult))

@@ -21,7 +21,7 @@ either well-formed or loudly broken.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping
 
 TRACE_SCHEMA_VERSION = 1
@@ -148,8 +148,23 @@ class SimTrace:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """JSON-serializable form; exact inverse of :meth:`from_dict`."""
-        return asdict(self)
+        """JSON-serializable form; exact inverse of :meth:`from_dict`.
+
+        A walk over the fields in declaration order that copies every
+        series, so the dict shares no list with the trace; keys, order
+        and JSON text are those of the generic ``dataclasses`` conversion
+        (tests/test_result_serialization.py).
+        """
+        payload = {name: getattr(self, name) for name in _TRACE_FIELDS}
+        payload["intervals"] = list(self.intervals)
+        payload["core_series"] = {
+            name: [list(series) for series in per_core]
+            for name, per_core in self.core_series.items()
+        }
+        payload["system_series"] = {
+            name: list(series) for name, series in self.system_series.items()
+        }
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SimTrace":
@@ -172,3 +187,7 @@ class SimTrace:
             )
         except (KeyError, TypeError, AttributeError) as error:
             raise TraceSchemaError(f"malformed SimTrace payload: {error!r}") from None
+
+
+# Field names in declaration order, read once for to_dict.
+_TRACE_FIELDS = tuple(f.name for f in fields(SimTrace))

@@ -1,5 +1,6 @@
 """The on-disk result cache: serialization, keying, invalidation, knobs."""
 
+import copy
 import json
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from repro.params import baseline_config
 from repro.runtime import ResultStore, Runtime, SimJob, cache_key
 from repro.runtime import store as store_module
 from repro.sim.results import CoreResult, SimResult
+from repro.telemetry.trace import CORE_SERIES, SYSTEM_SERIES, SimTrace
 
 
 def _job(config=None, benchmark="swim", accesses=300, seed=1, **sim_kwargs):
@@ -51,6 +53,37 @@ class TestSimResultSerialization:
         core = CoreResult(core_id=2, benchmark="art", instructions=10, cycles=4)
         assert CoreResult.from_dict(core.to_dict()) == core
         assert CoreResult.from_dict(core.to_dict()).ipc == core.ipc
+
+    def test_to_dict_makes_no_deepcopy(self, monkeypatch):
+        """A 4-core, 400-interval result with a trace serializes by a
+        field walk: not one ``copy.deepcopy`` call."""
+        cores, intervals = 4, 400
+        result = SimResult(
+            policy="padc",
+            cores=[CoreResult(core_id=i, benchmark="swim") for i in range(cores)],
+            accuracy_history=[[0.5] * intervals for _ in range(cores)],
+            trace=SimTrace(
+                interval_cycles=100_000,
+                num_cores=cores,
+                intervals=[100_000 * (i + 1) for i in range(intervals)],
+                core_series={
+                    name: [[0.25] * intervals for _ in range(cores)]
+                    for name in CORE_SERIES
+                },
+                system_series={name: [0.75] * intervals for name in SYSTEM_SERIES},
+            ).validate(),
+        )
+        calls = []
+        real = copy.deepcopy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(copy, "deepcopy", counting)
+        payload = result.to_dict()
+        assert len(calls) == 0
+        assert len(payload["trace"]["core_series"]["par"][3]) == intervals
 
 
 class TestCacheKey:
@@ -102,6 +135,19 @@ class TestResultStore:
         store.put(key, _small_result())
         store.path_for(key).write_text("{not json")
         assert store.get(key) is None
+
+    def test_put_never_calls_json_dump(self, tmp_path, monkeypatch):
+        """``json.dump`` always takes the pure-Python encoder; ``put``
+        encodes once with ``json.dumps`` and writes the text."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ResultStore.put called json.dump")
+
+        monkeypatch.setattr(json, "dump", refuse)
+        store = ResultStore(tmp_path)
+        result = _small_result(telemetry=True)
+        store.put("k", result)
+        assert store.get("k") == result
 
 
 class TestRuntimeCaching:

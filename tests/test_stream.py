@@ -273,6 +273,30 @@ def test_worker_stream_synthesizes_cache_hits(tmp_path):
         assert fold_samples(second.ledger.samples(job.key)).num_intervals >= 1
 
 
+def test_warm_streamed_drain_streams_only_hits_with_a_stored_trace(tmp_path):
+    """A warm drain simulates nothing, so a hit streams only the trace
+    its stored result carries: with ``telemetry=True`` the grid jobs
+    stream, the alone jobs (keyed without ``sim_kwargs``) do not."""
+    from repro import runtime as runtime_mod
+
+    runtime = runtime_mod.configure(jobs=1, cache_dir=str(tmp_path / "cache"))
+    spec = CampaignSpec.build(
+        "warm", [["swim", "art"]], ["padc"], 300, include_alone=True, telemetry=True
+    )
+    first = Campaign.create(spec, tmp_path / "first")
+    run_worker(first, runtime=runtime, stream=True, lease=30.0)
+    jobs = first.unique_jobs()
+    assert set(first.ledger.sample_counts()) == {job.key for job in jobs}
+
+    second = Campaign.create(spec, tmp_path / "second")
+    stats = run_worker(second, runtime=runtime, stream=True, lease=30.0)
+    assert stats.cache_hits == len(jobs)
+    traced = {job.key for job in jobs if runtime.store.get(job.key).trace is not None}
+    assert set(second.ledger.sample_counts()) == traced
+    assert traced == {job.key for job in jobs if job.kind == "grid"}
+    assert traced != {job.key for job in jobs}
+
+
 def test_two_worker_drain_streams_every_job(tmp_path):
     """drain(stream=True) on two worker processes: every job's samples
     fold to a valid trace, and the export equals an unstreamed serial
