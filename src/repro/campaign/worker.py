@@ -143,9 +143,12 @@ def run_worker(
     each job runs under a :class:`~repro.telemetry.collector
     .TelemetryCollector` whose per-interval samples land in the job
     store's ``samples`` table in batched transactions *while the job is
-    running*; cache-hit jobs with a stored trace synthesize their stream
-    at claim time.  Streaming never perturbs results, cache keys or
-    exports — it is read-only over the run.
+    running*.  A cache hit is not run, so it streams only when its stored
+    result carries a trace (the spec sets ``telemetry=True``): its records
+    are re-cut from that trace at claim time.  Other hits land no
+    samples, and alone jobs, keyed without the spec's ``sim_kwargs``,
+    never stream on a hit.  Streaming never perturbs results, cache keys
+    or exports — it is read-only over the run.
     """
     runtime = runtime or get_runtime()
     store = campaign.ledger
