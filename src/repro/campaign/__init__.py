@@ -9,10 +9,10 @@ Layered on :mod:`repro.runtime`, in six parts:
   keyed jobs;
 * :mod:`repro.campaign.jobstore` — the campaign store: one shared
   WAL-mode SQLite database (``jobs.sqlite``, next to the spec snapshot)
-  holding the append-only status journal (``running``/``done``/
-  ``failed`` with timings and errors), atomic job claims with worker
-  leases and heartbeat renewal so a SIGKILL'd worker's jobs are
-  reclaimed, and the streamed telemetry samples;
+  holding one row per job (its status, attempts, and the last attempt's
+  timing, error and cache hit), atomic job claims with worker leases
+  and heartbeat renewal so a SIGKILL'd worker's jobs are reclaimed, and
+  the streamed telemetry samples;
 * :mod:`repro.campaign.executor` — :func:`drain` and :func:`submit`:
   resume that serves finished jobs from the result store and reopens
   the rest, then runs the worker loop in this process or in a pool of
@@ -42,7 +42,6 @@ from repro.campaign.jobstore import (
     Claim,
     JobState,
     SqliteJobStore,
-    fold_records,
     status_counts,
 )
 from repro.campaign.spec import (
@@ -83,7 +82,6 @@ __all__ = [
     "default_directory",
     "drain",
     "expand",
-    "fold_records",
     "run_worker",
     "status_counts",
     "submit",

@@ -24,15 +24,15 @@ Streaming never changes results, cache keys or exports.
 
 ``run`` prints the campaign directory it used; ``status``/``resume``/
 ``export`` take that directory.  Every campaign keeps its job states in
-``jobs.sqlite`` inside that directory.  A ``run`` over a directory that
-already has journal entries refuses to proceed unless you pass
+``jobs.sqlite`` inside that directory.  A ``run`` over a directory where
+some job has left ``pending`` refuses to proceed unless you pass
 ``--resume`` (continue unfinished work) or ``--fresh`` (discard the job
 store and drive every job again — results still cached in the result
 store stay warm).
 
-Workers drain gracefully on SIGTERM (current job finishes and is
-journaled) and lose nothing on SIGKILL (the lease expires; the job is
-reclaimed).
+Workers drain gracefully on SIGTERM (current job finishes and its
+outcome is written) and lose nothing on SIGKILL (the lease expires; the
+job is reclaimed).
 
 Exit codes: 0 on success, 1 if any job is failed/unfinished, 2 on usage
 or spec errors.
@@ -279,7 +279,7 @@ def _cmd_run(args) -> int:
     runtime = _runtime(args)
     campaign = Campaign.create(_load_spec(args), args.dir)
     store = campaign.ledger
-    if store.exists() and store.records():
+    if any(state.status != "pending" for state in store.fold().values()):
         if args.fresh:
             store.clear()
         elif not args.resume:

@@ -5,27 +5,30 @@ worker count and on-disk :class:`~repro.runtime.store.ResultStore`, so a
 campaign job and the identical figure-script job share one cache entry.
 What it adds over ``Runtime.run_many`` is the campaign contract:
 
-* **fault isolation** — one crashing job journals a ``failed`` record
-  carrying its traceback, content key, and config fingerprint,
+* **fault isolation** — one crashing job's row turns ``failed`` and
+  keeps its traceback next to its content key and config fingerprint,
   and every sibling job still runs to completion (``run_many``'s bare
   ``pool.map`` would have aborted the whole batch);
 * **bounded retries** — each job gets ``retries`` extra attempts within
   a run before its failure is final;
-* **resume** — a rerun consults the journal and re-executes only jobs
+* **resume** — a rerun consults the job states and re-executes only jobs
   that are not ``done``; finished jobs are served straight from the
   result store, so an interrupted-then-resumed campaign performs no
   duplicate simulation work and exports bit-for-bit the same results.
 
 :func:`drain` runs every campaign.  It serves finished jobs from
 the result store and runs the lease-based worker loop of
-:mod:`repro.campaign.worker`, which journals and isolates every job, in
+:mod:`repro.campaign.worker`, which records and isolates every job, in
 this process or in a pool of worker processes — the loop ``python -m
 repro.campaign worker`` runs on other machines.
 
 Job states live in the campaign's :class:`~repro.campaign.jobstore
 .SqliteJobStore` (``jobs.sqlite``).  A directory without one — written
 by an older build that journaled elsewhere — simply starts with every
-job ``pending``; each then resolves as a result-store hit.
+job ``pending``; each then resolves as a result-store hit.  A
+``jobs.sqlite`` written while the store also journaled every transition
+keeps its job rows (done jobs stay done) and gains the outcome columns
+on first open; its ``records`` table is never read.
 
 Under ``--no-cache``/``$REPRO_CACHE=0``, :func:`submit` (the figure
 scripts' entry) runs the campaign in a private temporary directory,
@@ -165,7 +168,7 @@ class Campaign:
 
     @property
     def ledger(self) -> SqliteJobStore:
-        """This campaign's job store (status journal, leases, samples)."""
+        """This campaign's job store (job states, leases, samples)."""
         return SqliteJobStore(self.directory / DB_NAME)
 
     def jobs(self) -> List[CampaignJob]:
@@ -178,7 +181,7 @@ class Campaign:
         return unique_jobs(self.jobs())
 
     def states(self) -> Dict[str, JobState]:
-        """Journal fold extended with implicit ``pending`` entries."""
+        """Job-store states extended with implicit ``pending`` entries."""
         states = self.ledger.fold()
         for job in self.unique_jobs():
             states.setdefault(job.key, JobState(job.key))

@@ -3,35 +3,31 @@
 Every campaign keeps its whole mutable state in ``jobs.sqlite`` next to
 its ``campaign.json`` snapshot, PyExperimenter-style — one shared
 database that any number of worker processes (on any machine that can
-reach the file) pull jobs from.  It holds three tables:
+reach the file) pull jobs from.  It holds two tables:
 
-* ``records`` — the append-only status journal.  Every state transition
-  of every job is one JSON record: ``running`` when an attempt starts,
-  then ``done`` (elapsed time, worker, cache hit) or ``failed`` (error
-  text, config fingerprint).  A job's *current* state is the fold of its
-  records, last status wins (:func:`fold_records`), so the table doubles
-  as a complete execution history.
-* ``jobs`` — one row per job key with its live claim: state, attempt
-  count, worker and lease expiry.
+* ``jobs`` — one row per job key, the only record of its state: status,
+  attempt count, the live claim (worker and lease expiry) and the last
+  attempt's outcome (error text, elapsed time, cache hit), plus the
+  job's coordinates and config fingerprint as enqueued.
 * ``samples`` — streamed per-interval telemetry (DESIGN.md §14).
 
 Jobs are keyed by their :class:`~repro.runtime.SimJob` content hash, the
 same key the result store uses, which is what lets resume trust a
-``done`` record: the result it promises is addressable in the store.
+``done`` row: the result it promises is addressable in the store.
 
 The claim protocol:
 
 * :meth:`SqliteJobStore.claim` atomically (``BEGIN IMMEDIATE``) picks
   the first claimable job in enqueue order — ``pending``, ``running``
   with an **expired lease**, or ``failed`` with attempts to spare —
-  stamps it ``(worker_id, lease_expires)`` and journals the ``running``
-  record.  Two workers can never claim the same job at once.
+  stamps it ``(worker_id, lease_expires)`` and clears the previous
+  attempt's outcome.  Two workers can never claim the same job at once.
 * While simulating, the worker renews its lease via
   :meth:`SqliteJobStore.heartbeat`.  A worker that is SIGKILL'd simply
   stops heartbeating; once its lease expires the job is claimable again
   and the campaign loses nothing.
-* :meth:`SqliteJobStore.append` journals ``done``/``failed`` (releasing
-  the lease) and keeps the per-job row in step.
+* :meth:`SqliteJobStore.append` writes the ``done``/``failed`` outcome
+  onto the row and releases the lease.
 * :meth:`SqliteJobStore.reopen` sets jobs back to ``pending`` with a
   fresh attempt budget; :func:`~repro.campaign.executor.drain` calls it
   on every job it is about to run again before its workers start
@@ -39,11 +35,11 @@ The claim protocol:
 
 Durability: WAL mode with ``synchronous=NORMAL`` never corrupts the
 database; a power cut can drop only the last committed transactions.
-A lost ``done`` record merely re-runs a deterministic, content-addressed
+A lost ``done`` outcome merely re-runs a deterministic, content-addressed
 job (a result-store hit), so nothing is lost but time.
 
-Determinism contract: fold semantics, job keys and the result store do
-not depend on how a campaign was driven, so an interrupted-then-resumed
+Determinism contract: job states, job keys and the result store do not
+depend on how a campaign was driven, so an interrupted-then-resumed
 multi-worker campaign exports byte-for-byte what a single-process run
 exports (CI's ``distributed-smoke`` job asserts this with ``cmp``).
 """
@@ -62,8 +58,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 DB_NAME = "jobs.sqlite"
 
-# Every state a job can be in.  "pending" and "interrupted" are derived
-# (no record / last record is "running"); only the others are written.
+# Every state a job can be in.  "interrupted" is derived (a "running"
+# row whose lease has lapsed); the others are written.
 STATUSES = ("pending", "running", "interrupted", "done", "failed")
 
 # Lease granted to a claim (seconds) unless the claimer says otherwise.
@@ -74,13 +70,11 @@ DEFAULT_LEASE = 60.0
 # How long (seconds) a connection waits for another one's lock.
 _TIMEOUT = 30.0
 
+# The last attempt's outcome.  A database written before the row held
+# it lacks these columns; _connect adds them.
+_OUTCOME_COLUMNS = (("error", "TEXT"), ("elapsed", "REAL"), ("cached", "INTEGER"))
+
 _SCHEMA = (
-    """
-    CREATE TABLE IF NOT EXISTS records (
-        id INTEGER PRIMARY KEY AUTOINCREMENT,
-        record TEXT NOT NULL
-    )
-    """,
     """
     CREATE TABLE IF NOT EXISTS jobs (
         seq INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -89,7 +83,10 @@ _SCHEMA = (
         attempts INTEGER NOT NULL DEFAULT 0,
         worker TEXT,
         lease_expires REAL,
-        meta TEXT
+        meta TEXT,
+        error TEXT,
+        elapsed REAL,
+        cached INTEGER
     )
     """,
     # Streamed per-interval telemetry samples (DESIGN.md §14): one row
@@ -112,7 +109,7 @@ _SCHEMA = (
 
 @dataclass
 class JobState:
-    """Folded view of one job's journal records."""
+    """One job's current state, as its ``jobs`` row holds it."""
 
     key: str
     status: str = "pending"
@@ -122,34 +119,6 @@ class JobState:
     worker: Optional[str] = None
     cached: bool = False
     meta: Dict = field(default_factory=dict)
-
-
-def fold_records(records: Iterable[Dict]) -> Dict[str, JobState]:
-    """Current state per job key: replay records, last status wins.
-
-    A job whose last record is ``running`` folds to ``interrupted``
-    (its attempt started and never finished); resume and claim treat it
-    exactly like ``pending``.
-    """
-    states: Dict[str, JobState] = {}
-    for record in records:
-        key = record["key"]
-        state = states.setdefault(key, JobState(key))
-        status = record["status"]
-        if status == "running":
-            state.status = "interrupted"  # until a done/failed follows
-            state.attempts += 1
-            state.worker = record.get("worker")
-            state.error = None
-        elif status in ("done", "failed"):
-            state.status = status
-            state.error = record.get("error")
-            state.elapsed = record.get("elapsed")
-            state.worker = record.get("worker", state.worker)
-            state.cached = bool(record.get("cached", False))
-        if record.get("job"):
-            state.meta = record["job"]
-    return states
 
 
 def status_counts(states: Iterable[JobState]) -> Dict[str, int]:
@@ -167,11 +136,10 @@ class Claim:
     key: str
     attempt: int
     lease_expires: float
-    meta: Dict
 
 
 class SqliteJobStore:
-    """Shared WAL-mode campaign store: status journal, job leases, samples.
+    """Shared WAL-mode campaign store: job states, leases, samples.
 
     A public method runs on the calling thread's :meth:`session`
     connection when that thread holds one, and on a short-lived
@@ -211,6 +179,16 @@ class SqliteJobStore:
         conn.execute(f"PRAGMA busy_timeout={int(_TIMEOUT * 1000)}")
         for statement in _SCHEMA:
             conn.execute(statement)
+        have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
+        for name, kind in _OUTCOME_COLUMNS:
+            if name not in have:
+                try:
+                    conn.execute(f"ALTER TABLE jobs ADD COLUMN {name} {kind}")
+                except sqlite3.OperationalError as error:
+                    # Another connection upgrading the same file got there first.
+                    if "duplicate column" not in str(error):
+                        conn.close()
+                        raise
         return conn
 
     @contextmanager
@@ -221,7 +199,7 @@ class SqliteJobStore:
         that connection instead of opening and closing its own.  Closing
         the last connection to a WAL database checkpoints the WAL and
         deletes it, so a worker that opened one per call paid that on
-        every claim and journal write.  Other threads (a lease heartbeat)
+        every claim and outcome write.  Other threads (a lease heartbeat)
         and forked children keep opening their own.  Every method
         finishes its transaction and statements before it returns, so
         the held connection never pins an old snapshot or a lock between
@@ -255,7 +233,7 @@ class SqliteJobStore:
         with closing(self._connect()) as conn:
             yield conn
 
-    # -- the status journal ---------------------------------------------------
+    # -- job states -----------------------------------------------------------
 
     def exists(self) -> bool:
         return self.path.is_file()
@@ -269,78 +247,54 @@ class SqliteJobStore:
                 pass
 
     def append(self, record: Dict) -> None:
-        """Journal one state transition and update the job's current row."""
-        record = dict(record)
-        record.setdefault("ts", time.time())
-        with self._connection() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._journal(conn, record)
-                self._apply(conn, record)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+        """Write one attempt's outcome onto the job's row and release its lease.
 
-    def records(self) -> List[Dict]:
-        """All journal records, in append order."""
-        if not self.exists():
-            return []
+        ``record`` holds ``key`` and ``status`` (``done`` or ``failed``)
+        and optionally ``worker``, ``error``, ``elapsed`` and ``cached``.
+        A key not enqueued yet gets a row.
+        """
         with self._connection() as conn:
-            rows = conn.execute("SELECT record FROM records ORDER BY id").fetchall()
-        return [json.loads(text) for (text,) in rows]
+            conn.execute(
+                "INSERT INTO jobs (key, state, worker, error, elapsed, cached) "
+                "VALUES (?, ?, ?, ?, ?, ?) ON CONFLICT (key) DO UPDATE SET "
+                "state = excluded.state, "
+                "worker = COALESCE(excluded.worker, worker), "
+                "lease_expires = NULL, error = excluded.error, "
+                "elapsed = excluded.elapsed, cached = excluded.cached",
+                (
+                    record["key"],
+                    record["status"],
+                    record.get("worker"),
+                    record.get("error"),
+                    record.get("elapsed"),
+                    bool(record.get("cached", False)),
+                ),
+            )
 
     def fold(self) -> Dict[str, JobState]:
-        """Journal fold (:func:`fold_records`) overlaid with live lease info.
+        """Every enqueued job's state, in enqueue order.
 
-        A job whose last record is ``running`` folds to ``interrupted``
-        in the journal; if its lease is still live some worker is
-        actually on it, so the fold reports it ``running`` instead.
-        Once the lease expires it goes back to ``interrupted`` (treated
-        like ``pending`` by resume/claim), which is exactly the
-        crash-reclaim promise.
+        A ``running`` row whose lease has lapsed reports ``interrupted``:
+        its worker is gone, and resume and claim treat it like
+        ``pending``, which is the crash-reclaim promise.
         """
-        states = fold_records(self.records())
-        now = time.time()
         if not self.exists():
-            return states
+            return {}
+        now = time.time()
         with self._connection() as conn:
             rows = conn.execute(
-                "SELECT key, lease_expires FROM jobs WHERE state = 'running'"
+                "SELECT key, state, attempts, error, elapsed, worker, cached, "
+                "lease_expires, meta FROM jobs ORDER BY seq"
             ).fetchall()
-        for key, lease_expires in rows:
-            state = states.get(key)
-            if (
-                state is not None
-                and state.status == "interrupted"
-                and lease_expires is not None
-                and lease_expires > now
-            ):
-                state.status = "running"
-        return states
-
-    # -- journal/row helpers --------------------------------------------------
-
-    def _journal(self, conn: sqlite3.Connection, record: Dict) -> None:
-        conn.execute(
-            "INSERT INTO records (record) VALUES (?)",
-            (json.dumps(record, sort_keys=True),),
-        )
-
-    def _apply(self, conn: sqlite3.Connection, record: Dict) -> None:
-        key = record["key"]
-        status = record["status"]
-        meta = json.dumps(record["job"], sort_keys=True) if record.get("job") else None
-        conn.execute(
-            "INSERT OR IGNORE INTO jobs (key, state, meta) VALUES (?, 'pending', ?)",
-            (key, meta),
-        )
-        if status in ("done", "failed"):
-            conn.execute(
-                "UPDATE jobs SET state = ?, lease_expires = NULL, "
-                "meta = COALESCE(?, meta) WHERE key = ?",
-                (status, meta, key),
+        states: Dict[str, JobState] = {}
+        for key, status, attempts, error, elapsed, worker, cached, expires, meta in rows:
+            if status == "running" and (expires is None or expires <= now):
+                status = "interrupted"
+            states[key] = JobState(
+                key, status, attempts, error, elapsed, worker, bool(cached),
+                json.loads(meta) if meta else {},
             )
+        return states
 
     # -- the worker-facing surface --------------------------------------------
 
@@ -348,7 +302,7 @@ class SqliteJobStore:
         """Idempotently enqueue ``(key, meta)`` pairs in expansion order.
 
         Returns how many rows were newly inserted.  Keys already present
-        (enqueued by another worker, or already journaled) are left
+        (enqueued by another worker, or already run) are left
         untouched, so every worker can enqueue the full expansion on
         startup without perturbing in-flight state.
         """
@@ -373,8 +327,8 @@ class SqliteJobStore:
         """Set ``keys`` back to ``pending`` with a fresh attempt budget.
 
         Keys not enqueued yet are left to :meth:`ensure_jobs`.  A
-        reopened job keeps its journal; its next claim is attempt 1
-        again and restarts its sample stream.
+        reopened job keeps its last outcome until its next claim, which
+        is attempt 1 again and restarts its sample stream.
         """
         with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
@@ -400,8 +354,8 @@ class SqliteJobStore:
         Open means ``pending``, ``running`` with an expired lease (a
         dead worker's job, reclaimed), or ``failed`` with fewer than
         ``max_attempts`` attempts so far.  The claim bumps the attempt
-        count, stamps ``(worker_id, lease_expires)`` and journals the
-        ``running`` record in the same transaction.
+        count, stamps ``(worker_id, lease_expires)`` and clears the
+        previous attempt's outcome in the same transaction.
         """
         lease = self.lease if lease is None else float(lease)
         now = time.time()
@@ -409,10 +363,9 @@ class SqliteJobStore:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 row = conn.execute(
-                    "SELECT key, attempts, meta FROM jobs WHERE "
+                    "SELECT key, attempts FROM jobs WHERE "
                     "state = 'pending' "
-                    "OR (state = 'running' AND lease_expires IS NOT NULL "
-                    "    AND lease_expires < ?) "
+                    "OR (state = 'running' AND COALESCE(lease_expires, 0) < ?) "
                     "OR (state = 'failed' AND attempts < ?) "
                     "ORDER BY seq LIMIT 1",
                     (now, int(max_attempts)),
@@ -420,12 +373,13 @@ class SqliteJobStore:
                 if row is None:
                     conn.execute("COMMIT")
                     return None
-                key, attempts, meta_text = row
+                key, attempts = row
                 attempt = attempts + 1
                 expires = now + lease
                 conn.execute(
                     "UPDATE jobs SET state = 'running', attempts = ?, "
-                    "worker = ?, lease_expires = ? WHERE key = ?",
+                    "worker = ?, lease_expires = ?, error = NULL, "
+                    "elapsed = NULL, cached = NULL WHERE key = ?",
                     (attempt, worker_id, expires, key),
                 )
                 # A re-claim (expired lease, failed retry) restarts the
@@ -433,22 +387,11 @@ class SqliteJobStore:
                 # previous attempt streamed, in the same transaction, so
                 # a reader never sees a dead worker's torn stream.
                 conn.execute("DELETE FROM samples WHERE key = ?", (key,))
-                meta = json.loads(meta_text) if meta_text else {}
-                record = {
-                    "ts": now,
-                    "key": key,
-                    "status": "running",
-                    "attempt": attempt,
-                    "worker": worker_id,
-                }
-                if meta:
-                    record["job"] = meta
-                self._journal(conn, record)
                 conn.execute("COMMIT")
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise
-            return Claim(key=key, attempt=attempt, lease_expires=expires, meta=meta)
+            return Claim(key=key, attempt=attempt, lease_expires=expires)
 
     def heartbeat(
         self, key: str, worker_id: str, lease: Optional[float] = None
@@ -485,26 +428,6 @@ class SqliteJobStore:
                 (int(max_attempts),),
             ).fetchone()
         return count
-
-    def job_rows(self) -> List[Dict]:
-        """Current per-job rows (state, attempts, worker, lease), in order."""
-        if not self.exists():
-            return []
-        with self._connection() as conn:
-            rows = conn.execute(
-                "SELECT key, state, attempts, worker, lease_expires "
-                "FROM jobs ORDER BY seq"
-            ).fetchall()
-        return [
-            {
-                "key": key,
-                "state": state,
-                "attempts": attempts,
-                "worker": worker,
-                "lease_expires": lease_expires,
-            }
-            for key, state, attempts, worker, lease_expires in rows
-        ]
 
     # -- streamed telemetry samples -------------------------------------------
 

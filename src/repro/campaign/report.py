@@ -123,7 +123,7 @@ def status_summary(campaign: Campaign) -> str:
 def _alone_ipc_table(campaign: Campaign, read) -> Dict:
     """(workload_index, seed_offset) → list of per-slot alone IPCs (or None).
 
-    ``read(key)`` loads a result whatever the job's journal status.
+    ``read(key)`` loads a result whatever the job's status.
     """
     table: Dict = {}
     for job in campaign.jobs():
