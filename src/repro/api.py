@@ -104,8 +104,7 @@ def _make_job(
     # The backend knob never reaches a job: every backend is certified
     # byte-identical (equivalence matrix + differential fuzzer), so cache
     # entries are shared across backends and the worker runs whichever
-    # backend its own environment resolves.  (SystemConfig.backend is
-    # likewise hash-excluded at the field.)
+    # backend its own environment resolves.
     pruned.pop("backend", None)
     if pruned.get("telemetry"):
         # Collector objects are neither picklable nor hashable; through

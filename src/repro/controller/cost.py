@@ -65,18 +65,6 @@ def pack_fcfs(arrival: int, seq: int) -> int:
     return ((ARRIVAL_LIMIT - arrival) << SEQ_BITS) | (SEQ_LIMIT - seq)
 
 
-def key_layout_summary() -> Dict[str, int]:
-    """Bit budget of the packed priority key (for docs and the bench CLI)."""
-    return {
-        "arrival_bits": ARRIVAL_BITS,
-        "seq_bits": SEQ_BITS,
-        "rank_bits": RANK_BITS,
-        "fcfs_bits": FCFS_BITS,
-        "max_flag_bits": 3 + RANK_BITS,  # parbs: M, D, RH + rank field
-        "total_bits_worst_case": FCFS_BITS + 3 + RANK_BITS,
-    }
-
-
 @dataclass(frozen=True)
 class StorageCost:
     """Bit-level breakdown of the PADC storage requirements."""

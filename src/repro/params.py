@@ -261,16 +261,6 @@ class SystemConfig:
     prefetcher: PrefetcherConfig = field(default_factory=PrefetcherConfig)
     padc: PADCConfig = field(default_factory=PADCConfig)
     policy: str = "demand-first"
-    # Simulation backend (:data:`BACKENDS`); ``None`` defers to the
-    # $REPRO_BACKEND env knob and then :data:`DEFAULT_BACKEND`.  Excluded
-    # from content hashing (``exclude_from_hash``): the backends are
-    # certified byte-identical, so two configs differing only here MUST
-    # share one cache entry — a result computed under any backend answers
-    # for all of them.  This is the only field allowed to carry the
-    # exclusion marker; tests/test_backend_cache.py pins that.
-    backend: Optional[str] = field(
-        default=None, metadata={"exclude_from_hash": True}
-    )
 
     def with_policy(self, policy: str, **padc_overrides) -> "SystemConfig":
         """Return a copy of this config with a different scheduling policy.
@@ -286,11 +276,6 @@ class SystemConfig:
         merged.update(padc_overrides)
         padc = replace(self.padc, **merged) if merged else self.padc
         return replace(self, policy=entry.policy, padc=padc)
-
-    def scaled_request_buffer(self) -> int:
-        """Request-buffer entries scaled with core count (paper Table 4)."""
-        per_core = {1: 64, 2: 32, 4: 32, 8: 32}.get(self.num_cores, 32)
-        return max(64, per_core * self.num_cores)
 
 
 def baseline_config(

@@ -67,9 +67,6 @@ class StreamEntry:
             low, high = high, low
         return low <= line_addr <= high
 
-    def near_start(self, line_addr: int, train_distance: int) -> bool:
-        return abs(line_addr - self.start) <= train_distance
-
 
 class StreamPrefetcher(Prefetcher):
     """POWER4/5-style sequential stream prefetcher."""

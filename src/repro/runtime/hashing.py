@@ -11,12 +11,14 @@ hash by construction.
 
 The one sanctioned escape hatch is declared *at the field*, not here: a
 dataclass field carrying ``metadata={"exclude_from_hash": True}`` is
-skipped.  It exists for knobs that select among certified-identical
-implementations (``SystemConfig.backend``: every backend produces
-byte-identical results, so a cached result answers for all of them).
-Because the exclusion is declared on the field next to its
-justification — and asserted by tests — it cannot silently collide the
-way a hand-picked inclusion list can.
+skipped.  It exists for fields that do not change what a job computes:
+a trace workload's display ``name`` and file ``path``
+(:class:`~repro.trace.workload.TraceWorkload`, keyed by its content
+digest instead).  No :class:`~repro.params.SystemConfig` field carries
+it, and tests/test_backend_cache.py pins that.  Because the exclusion is
+declared on the field next to its justification — and asserted by
+tests — it cannot silently collide the way a hand-picked inclusion list
+can.
 
 Hashing is on the read path of every campaign handle, so
 :func:`canonicalize` dispatches on the exact type first (scalars, lists,

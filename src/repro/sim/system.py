@@ -99,10 +99,10 @@ class System:
         # oracle) on request.  Both produce byte-identical results; the
         # golden-equivalence tests, the differential fuzzer and the stored
         # loop digests pin this (DESIGN.md §10–11).  Resolution order:
-        # explicit ``backend=`` arg > ``config.backend`` >
-        # ``$REPRO_BACKEND`` > the package default.
+        # explicit ``backend=`` arg > ``$REPRO_BACKEND`` > the package
+        # default.
         if backend is None:
-            backend = config.backend or os.environ.get("REPRO_BACKEND") or None
+            backend = os.environ.get("REPRO_BACKEND") or None
         backend = resolve_backend(backend)
         self.backend = backend
         self.engine = DRAMControllerEngine(

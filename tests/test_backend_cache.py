@@ -1,15 +1,14 @@
 """Backend × result-cache interaction (DESIGN.md §11).
 
 The backend knob selects among certified-identical scheduling rounds, so
-it must never fragment the result cache: ``SystemConfig.backend`` is the
-one sanctioned ``exclude_from_hash`` field, ``repro.api`` strips the
+it must never fragment the result cache: no ``SystemConfig`` field names
+a backend or carries ``exclude_from_hash``, ``repro.api`` strips the
 ``backend`` simulate-kwarg before a job is keyed, and a result computed
 under one backend answers for every other.  Conversely CACHE_VERSION
 must have moved with this PR so pre-certification entries stop matching.
 A retired backend name fails on every surface with one actionable error.
 """
 
-import dataclasses
 import re
 from dataclasses import fields, is_dataclass
 
@@ -21,7 +20,6 @@ from repro.api import _make_job, submit
 from repro.params import BACKENDS, BackendError, SystemConfig, baseline_config
 from repro.sim.system import System
 from repro.runtime import CACHE_VERSION, Runtime, cache_key
-from repro.runtime.hashing import config_fingerprint
 
 
 def _config(policy="demand-first"):
@@ -32,18 +30,10 @@ MIX = ["swim_00", "art_00"]
 
 
 class TestHashExclusion:
-    def test_backend_field_never_changes_the_fingerprint(self):
-        config = _config()
-        fingerprints = {
-            config_fingerprint(dataclasses.replace(config, backend=backend))
-            for backend in (None,) + tuple(BACKENDS)
-        }
-        assert len(fingerprints) == 1
-
     def test_backend_is_the_only_hash_excluded_field(self):
-        # The escape hatch is sanctioned for exactly one knob.  Walk the
-        # whole config dataclass tree; any new exclusion must be debated
-        # here, not slipped in via metadata.
+        # No field of the config tree is hash-excluded: every one changes
+        # what a job computes.  Walk the whole config dataclass tree; any
+        # new exclusion must be debated here, not slipped in via metadata.
         excluded = set()
 
         def walk(obj):
@@ -55,7 +45,7 @@ class TestHashExclusion:
                     walk(value)
 
         walk(_config())
-        assert excluded == {("SystemConfig", "backend")}
+        assert excluded == set()
 
     def test_backend_kwarg_stripped_from_job_key(self):
         config = _config()
