@@ -149,7 +149,7 @@ class SampleBatcher:
     one store transaction per batch rather than per sample.  Call
     :meth:`flush` explicitly at end-of-run for the tail (the worker does
     this before persisting the result, so the stream is complete before
-    the job is journaled ``done``).
+    the job's row turns ``done``).
     """
 
     def __init__(
