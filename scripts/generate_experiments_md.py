@@ -163,7 +163,7 @@ def main() -> int:
     print(f"campaign: {spec.name} at scale {scale_name}")
     start = time.time()
     run = submit(spec)
-    print(status_summary(run.campaign))
+    print(status_summary(run.campaign, run.states))
     print(f"campaign complete in {time.time() - start:.1f}s")
     sections = [PREAMBLE.format(scale_name=scale_name, scale=scale)]
     for name in sorted(REGISTRY):

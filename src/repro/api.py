@@ -12,11 +12,13 @@ Three verbs, one vocabulary:
   are bit-for-bit identical either way.
 * :func:`campaign` — a whole sweep (a :class:`CampaignSpec`, a preset
   name, or a spec dict) through the resumable campaign executor.
-* :class:`Campaign` — the handle over a persistent campaign directory:
-  ``Campaign.create(spec)`` / :func:`campaign_open` bind it, then
-  ``.status()``, ``.export()``, ``.progress()``, ``.metrics()`` and
-  ``.stream()`` read it — the one object the CLI, the HTTP service and
-  the dashboard all route through.
+* ``Campaign`` — :class:`repro.campaign.Campaign`, the one handle over a
+  persistent campaign directory: ``Campaign.create(spec)`` /
+  :func:`campaign_open` bind it, then ``.status()``, ``.export()``,
+  ``.progress()``, ``.metrics()`` and ``.stream()`` read it.  The
+  executor, the workers, the CLI, the HTTP service and the dashboard
+  all hold this same class.  It is looked up on first use, so
+  ``import repro`` does not load the campaign package.
 
 ``repro.experiments``, the examples and both CLIs call through this
 module, so its signatures are the project's compatibility surface.
@@ -24,8 +26,7 @@ module, so its signatures are the project's compatibility surface.
 
 from __future__ import annotations
 
-import time as _time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.params import SystemConfig
 from repro.runtime import Runtime, SimJob, get_runtime
@@ -34,6 +35,9 @@ from repro.sim import results as _results
 from repro.sim import system as _system
 from repro.sim.results import SimResult
 from repro.telemetry.collector import NoopCollector
+
+if TYPE_CHECKING:
+    from repro.campaign import Campaign
 
 ProfileLike = _system.ProfileLike
 TelemetryLike = Union[None, bool, NoopCollector]
@@ -178,216 +182,40 @@ def campaign(
     or a spec dict (as produced by ``CampaignSpec.to_dict`` / written by
     hand).  Resume-aware: a warm rerun touches no simulation.  Like
     ``python -m repro.campaign run``, it always keeps the campaign and
-    its results on disk, even with the runtime's cache disabled.
+    its results on disk, even with the runtime's cache disabled.  The
+    run's ``.campaign`` is the :class:`Campaign` handle over it.
     """
-    # Imported lazily: repro.campaign pulls in repro.experiments, which
-    # itself imports this module.
-    from repro.campaign import executor as _executor
+    # Imported lazily, as ``Campaign`` is (see __getattr__ below).
+    from repro.campaign.executor import coerce_spec, run_persistent
 
-    spec = _coerce_spec(spec)
-    return _executor.run_persistent(
-        spec, directory=directory, runtime=runtime, retries=retries
+    return run_persistent(
+        coerce_spec(spec), directory=directory, runtime=runtime, retries=retries
     )
-
-
-def _coerce_spec(spec):
-    from repro.campaign import CampaignSpec
-
-    if isinstance(spec, str):
-        from repro.campaign import presets as _presets
-
-        return _presets.build(spec)
-    if isinstance(spec, CampaignSpec):
-        return spec
-    return CampaignSpec.from_dict(spec)
-
-
-class Campaign:
-    """Handle over one persistent campaign directory.
-
-    The unified front door to a campaign's lifecycle after submission:
-
-    >>> handle = api.Campaign.create("smoke")
-    >>> handle.status()["counts"]
-    >>> handle.export(fmt="csv")
-    >>> for row in handle.stream(follow=True): ...   # live samples
-    >>> handle.metrics()["progress"]["eta_seconds"]  # dashboard payload
-
-    All constructor and method knobs are keyword-only.  The handle wraps
-    the executor-level :class:`repro.campaign.Campaign` (exposed as
-    ``.inner`` for execution-layer code) plus the runtime whose result
-    store exports read from.
-    """
-
-    def __init__(self, inner, *, runtime: Optional[Runtime] = None):
-        self._inner = inner
-        self._runtime = runtime
-
-    # -- binding ---------------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        spec,
-        *,
-        directory=None,
-        root=None,
-        runtime: Optional[Runtime] = None,
-    ) -> "Campaign":
-        """Create (or idempotently reopen) a campaign without executing it.
-
-        The submission half of the campaign service: bind ``spec`` (a
-        :class:`~repro.campaign.CampaignSpec`, preset name, or spec
-        dict) to its directory, snapshot it, and enqueue the full job
-        expansion so workers (``python -m repro.campaign worker``) can
-        start claiming.  ``root`` overrides the campaigns root the
-        default directory is derived under.
-        """
-        from repro.campaign import executor as _executor
-        from repro.campaign.worker import job_meta
-
-        spec = _coerce_spec(spec)
-        if directory is None:
-            directory = _executor.default_directory(spec, root)
-        created = _executor.Campaign.create(spec, directory)
-        created.ledger.ensure_jobs(
-            [(job.key, job_meta(job)) for job in created.unique_jobs()]
-        )
-        return cls(created, runtime=runtime)
-
-    @classmethod
-    def open(cls, directory, *, runtime: Optional[Runtime] = None) -> "Campaign":
-        """Bind an existing campaign directory (see :func:`campaign_open`)."""
-        from repro.campaign import executor as _executor
-
-        return cls(_executor.Campaign.open(directory), runtime=runtime)
-
-    # -- identity --------------------------------------------------------------
-
-    @property
-    def inner(self):
-        """The executor-level campaign (spec + directory + job store)."""
-        return self._inner
-
-    @property
-    def directory(self):
-        return self._inner.directory
-
-    @property
-    def spec(self):
-        return self._inner.spec
-
-    @property
-    def name(self) -> str:
-        return self._inner.spec.name
-
-    def unique_jobs(self):
-        return self._inner.unique_jobs()
-
-    def __repr__(self) -> str:
-        return f"api.Campaign({self.name!r}, directory={str(self.directory)!r})"
-
-    # -- reads -----------------------------------------------------------------
-
-    def status(self) -> Dict:
-        """Identity + status histogram as plain JSON-able data."""
-        from repro.campaign.report import status_summary
-
-        inner = self._inner
-        counts = inner.status_counts()
-        return {
-            "id": inner.directory.name,
-            "directory": str(inner.directory),
-            "name": inner.spec.name,
-            "fingerprint": inner.spec.fingerprint(),
-            "total": len(inner.unique_jobs()),
-            "counts": counts,
-            "complete": counts.get("done", 0) == len(inner.unique_jobs()),
-            "text": status_summary(inner),
-        }
-
-    def export(self, *, fmt: str = "csv") -> str:
-        """Deterministic CSV/JSON export (streamed or not)."""
-        from repro.campaign.report import export as _export
-
-        runtime = self._runtime or get_runtime()
-        return _export(self._inner, runtime.store, fmt=fmt)
-
-    def progress(self) -> Dict:
-        """Live progress: counts, ETA, per-job states + sample counts."""
-        from repro.dashboard.aggregate import progress as _progress
-
-        return _progress(self._inner)
-
-    def metrics(self, *, max_jobs: Optional[int] = None) -> Dict:
-        """The full dashboard payload (progress + series + fdp + pressure)."""
-        from repro.dashboard.aggregate import campaign_metrics
-
-        return campaign_metrics(self._inner, max_jobs=max_jobs)
-
-    def stream(
-        self,
-        *,
-        after: int = 0,
-        key: Optional[str] = None,
-        follow: bool = False,
-        poll: float = 0.5,
-        timeout: Optional[float] = None,
-    ) -> Iterator[Dict]:
-        """Iterate streamed sample rows, optionally tailing the store.
-
-        Yields ``{"id", "key", "idx", "record"}`` rows in landing order,
-        starting after cursor ``after`` (a previously-yielded ``id``).
-        ``key`` restricts to one job.  ``follow=True`` keeps polling
-        every ``poll`` seconds for new rows until the campaign is
-        complete (or ``timeout`` seconds elapse); otherwise one pass
-        over what has landed.
-        """
-        store = self._inner.ledger
-        cursor = int(after)
-        deadline = None if timeout is None else _time.monotonic() + float(timeout)
-        while True:
-            rows, cursor = store.samples_since(cursor, key=key)
-            for row in rows:
-                yield row
-            if not follow:
-                return
-            counts = self._inner.status_counts()
-            total = len(self._inner.unique_jobs())
-            if counts.get("done", 0) + counts.get("failed", 0) >= total:
-                # Terminal: drain whatever landed after the last poll.
-                rows, cursor = store.samples_since(cursor, key=key)
-                for row in rows:
-                    yield row
-                return
-            if deadline is not None and _time.monotonic() >= deadline:
-                return
-            _time.sleep(max(0.05, float(poll)))
-
-    def fold_trace(self, key: str):
-        """Fold one job's streamed samples back into its ``SimTrace``.
-
-        Returns ``None`` when the job has streamed nothing yet; raises
-        :class:`~repro.telemetry.stream.StreamError` on a torn/partial
-        stream (a header with no intervals folds fine — zero-interval
-        traces are valid).
-        """
-        from repro.telemetry.stream import fold_samples
-
-        records = self._inner.ledger.samples(key)
-        if not records:
-            return None
-        return fold_samples(records)
 
 
 def campaign_open(directory, *, runtime: Optional[Runtime] = None) -> Campaign:
     """Bind an existing campaign directory to a :class:`Campaign` handle.
 
     The read-side entry point: ``.status()`` and ``.export(fmt=...)``
-    read the campaign, and ``.stream()`` / ``.metrics()`` are the
-    live-telemetry surface the dashboard polls.
+    read the campaign (exports from ``runtime``'s result store), and
+    ``.stream()`` / ``.metrics()`` are the live-telemetry surface the
+    dashboard polls.
     """
+    from repro.campaign import Campaign
+
     return Campaign.open(directory, runtime=runtime)
+
+
+def __getattr__(name: str):
+    # ``api.Campaign`` is repro.campaign.Campaign, looked up on first
+    # use: ``import repro`` imports this module, and loading the
+    # campaign package (sqlite3, the worker pool) here would slow the
+    # start of every process, campaign or not.
+    if name == "Campaign":
+        from repro.campaign import Campaign
+
+        return Campaign
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def register_trace(name: str, path) -> None:

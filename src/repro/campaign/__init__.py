@@ -13,17 +13,19 @@ Layered on :mod:`repro.runtime`, in six parts:
   timing, error and cache hit), atomic job claims with worker leases
   and heartbeat renewal so a SIGKILL'd worker's jobs are reclaimed, and
   the streamed telemetry samples;
-* :mod:`repro.campaign.executor` — :func:`drain` and :func:`submit`:
-  resume that serves finished jobs from the result store and reopens
-  the rest, then runs the worker loop in this process or in a pool of
-  worker processes;
+* :mod:`repro.campaign.executor` — :class:`Campaign`, the one handle
+  over a campaign directory (``repro.api.Campaign`` is this class),
+  with its status, export and live-telemetry reads; and :func:`drain`
+  and :func:`submit`: resume that serves finished jobs from the result
+  store and reopens the rest, then runs the worker loop in this process
+  or in a pool of worker processes;
 * :mod:`repro.campaign.worker` — the pull-based worker loop
   (claim → execute → persist → mark done) that executes every campaign
   job: fault-isolated, with bounded retries (a crashing job records its
   traceback and its siblings finish), run concurrently by any number of
   processes or machines against one job store;
 * :mod:`repro.campaign.service` — a stdlib JSON-over-HTTP front-end
-  (POST a spec, GET status/export) routed through :mod:`repro.api`;
+  (POST a spec, GET status/export) routed through :class:`Campaign`;
 * :mod:`repro.campaign.report` — status summaries and deterministic
   CSV/JSON export of the job states joined with the result store,
   identical bytes however the campaign was driven, interrupted or not.

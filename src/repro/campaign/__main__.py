@@ -12,10 +12,13 @@ Usage::
 job store (one, in this process, by default).  Workers on other
 machines can share it (lease-based crash reclaim)::
 
-    python -m repro.campaign create --name paper
+    python -m repro.campaign create --name paper       # snapshot only
     python -m repro.campaign worker <campaign-dir> &   # as many as you like,
     python -m repro.campaign worker <campaign-dir>     # on any machine
     python -m repro.campaign serve --port 8642         # JSON API + dashboard
+
+``create`` writes only the spec snapshot.  The first worker to start
+enqueues the jobs; until then ``status`` reads every job as pending.
 
 Pass ``--stream`` to ``worker``, ``run`` or ``resume`` (at any ``-j``)
 to stream per-interval telemetry into the campaign store while jobs
@@ -84,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     create = sub.add_parser(
         "create",
-        help="snapshot a spec and enqueue its jobs without executing "
-        "(workers do the executing)",
+        help="snapshot a spec without executing it (workers enqueue "
+        "and execute its jobs)",
     )
     _add_spec_source(create)
     create.add_argument(
@@ -269,7 +272,7 @@ def _drain(campaign: Campaign, runtime, args) -> int:
         stream=args.stream,
         limit=args.limit,
     )
-    print(status_summary(campaign))
+    print(status_summary(campaign, run.states))
     print(f"campaign directory: {campaign.directory}")
     return 1 if run.incomplete() else 0
 
@@ -293,20 +296,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_create(args) -> int:
-    from repro import api
-
-    spec = _load_spec(args)
-    directory = Path(args.dir) if args.dir else None
-    handle = api.Campaign.create(spec, directory=directory)
-    print(f"campaign {handle.name!r}: {len(handle.unique_jobs())} job(s) enqueued")
-    print(f"campaign directory: {handle.directory}")
+    campaign = Campaign.create(_load_spec(args), args.dir)
+    print(f"campaign {campaign.name!r}: {len(campaign.unique_jobs())} job(s)")
+    print(f"campaign directory: {campaign.directory}")
     return 0
 
 
 def _cmd_status(args) -> int:
-    from repro import api
-
-    status = api.campaign_open(args.directory).status()
+    status = Campaign.open(args.directory).status()
     print(status["text"])
     return 1 if status["counts"].get("failed", 0) else 0
 
@@ -367,11 +364,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from repro import api, runtime
+    from repro import runtime
 
     explicit = runtime.Runtime(cache_dir=args.cache_dir) if args.cache_dir else None
-    handle = api.campaign_open(args.directory, runtime=explicit)
-    text = handle.export(fmt=args.format)
+    text = Campaign.open(args.directory, runtime=explicit).export(fmt=args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -6,9 +6,9 @@ campaign job and the identical figure-script job share one cache entry.
 What it adds over ``Runtime.run_many`` is the campaign contract:
 
 * **fault isolation** — one crashing job's row turns ``failed`` and
-  keeps its traceback next to its content key and config fingerprint,
-  and every sibling job still runs to completion (``run_many``'s bare
-  ``pool.map`` would have aborted the whole batch);
+  keeps its traceback under its content key, and every sibling job
+  still runs to completion (``run_many``'s bare ``pool.map`` would have
+  aborted the whole batch);
 * **bounded retries** — each job gets ``retries`` extra attempts within
   a run before its failure is final;
 * **resume** — a rerun consults the job states and re-executes only jobs
@@ -16,8 +16,12 @@ What it adds over ``Runtime.run_many`` is the campaign contract:
   result store, so an interrupted-then-resumed campaign performs no
   duplicate simulation work and exports bit-for-bit the same results.
 
-:func:`drain` runs every campaign.  It serves finished jobs from
-the result store and runs the lease-based worker loop of
+:class:`Campaign` is the one handle over a campaign directory: its
+spec snapshot, its job store and the reads over both (status, export,
+live progress and samples).
+
+:func:`drain` runs every campaign.  It serves finished jobs from the
+result store and runs the lease-based worker loop of
 :mod:`repro.campaign.worker`, which records and isolates every job, in
 this process or in a pool of worker processes — the loop ``python -m
 repro.campaign worker`` runs on other machines.
@@ -43,10 +47,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.campaign import report
 from repro.campaign.jobstore import DB_NAME, JobState, SqliteJobStore, status_counts
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand, unique_jobs
 from repro.campaign.worker import run_worker
@@ -109,19 +115,57 @@ def _write_json_exclusive(path: Path, payload: Dict) -> None:
             pass
 
 
-class Campaign:
-    """A spec bound to its on-disk directory (snapshot + job store)."""
+def coerce_spec(spec) -> CampaignSpec:
+    """A :class:`CampaignSpec`, a preset name or a spec dict, as a spec."""
+    if isinstance(spec, CampaignSpec):
+        return spec
+    if isinstance(spec, str):
+        # Imported lazily: presets pull in repro.experiments, which
+        # imports this package.
+        from repro.campaign import presets
 
-    def __init__(self, directory, spec: CampaignSpec):
+        return presets.build(spec)
+    return CampaignSpec.from_dict(spec)
+
+
+class Campaign:
+    """A spec bound to its on-disk directory (snapshot + job store).
+
+    The one handle over a campaign directory: the executor and the
+    workers run it, and the CLI, the HTTP service, the dashboard and
+    :mod:`repro.api` read it.
+
+    >>> handle = Campaign.create("smoke")
+    >>> handle.status()["counts"]
+    >>> handle.export(fmt="csv")
+    >>> for row in handle.stream(follow=True): ...   # live samples
+    >>> handle.metrics()["progress"]["eta_seconds"]  # dashboard payload
+
+    ``runtime`` names the result store :meth:`export` reads (default:
+    the process-wide runtime's).
+    """
+
+    def __init__(
+        self, directory, spec: CampaignSpec, *, runtime: Optional[Runtime] = None
+    ):
         self.directory = Path(directory)
         self.spec = spec
+        self._runtime = runtime
         self._jobs: Optional[List[CampaignJob]] = None
 
     # -- open/create ----------------------------------------------------------
 
     @classmethod
-    def create(cls, spec: CampaignSpec, directory=None) -> "Campaign":
+    def create(
+        cls, spec, directory=None, *, root=None, runtime: Optional[Runtime] = None
+    ) -> "Campaign":
         """Bind ``spec`` to ``directory``, writing the snapshot on first use.
+
+        ``spec`` is a :class:`CampaignSpec`, a preset name or a spec
+        dict; ``root`` is the campaigns root the default directory is
+        derived under.  Nothing is enqueued: the first worker to start
+        enqueues the whole expansion, and until then every job reads as
+        ``pending``.
 
         Reopening an existing directory with a *different* spec is an
         error — the job store would silently describe the wrong grid.  The
@@ -129,7 +173,10 @@ class Campaign:
         creators race, exactly one writes it; the loser re-validates the
         winner's fingerprint and either adopts the directory or fails.
         """
-        directory = Path(directory) if directory is not None else default_directory(spec)
+        spec = coerce_spec(spec)
+        if directory is None:
+            directory = default_directory(spec, root)
+        directory = Path(directory)
         spec_path = directory / SPEC_FILE
         try:
             _write_json_exclusive(
@@ -137,7 +184,7 @@ class Campaign:
                 {"fingerprint": spec.fingerprint(), "spec": spec.to_dict()},
             )
         except FileExistsError:
-            existing = cls.open(directory)
+            existing = cls.open(directory, runtime=runtime)
             if existing.spec.fingerprint() != spec.fingerprint():
                 raise CampaignError(
                     f"campaign directory {directory} already holds campaign "
@@ -146,10 +193,10 @@ class Campaign:
                     f"{spec.fingerprint()[:12]}); pick another --dir or delete it"
                 ) from None
             return existing
-        return cls(directory, spec)
+        return cls(directory, spec, runtime=runtime)
 
     @classmethod
-    def open(cls, directory) -> "Campaign":
+    def open(cls, directory, *, runtime: Optional[Runtime] = None) -> "Campaign":
         directory = Path(directory)
         spec_path = directory / SPEC_FILE
         try:
@@ -162,9 +209,19 @@ class Campaign:
             ) from None
         except (OSError, json.JSONDecodeError) as exc:
             raise CampaignError(f"unreadable campaign snapshot {spec_path}: {exc}") from exc
-        return cls(directory, CampaignSpec.from_dict(payload["spec"]))
+        return cls(directory, CampaignSpec.from_dict(payload["spec"]), runtime=runtime)
 
     # -- derived views --------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def inner(self) -> "Campaign":
+        # perfbench/workloads.py passes ``handle.inner``, and perfbench
+        # changes only with the benchmark; delete this property then.
+        return self
 
     @property
     def ledger(self) -> SqliteJobStore:
@@ -191,6 +248,92 @@ class Campaign:
         jobs = self.unique_jobs()
         states = self.states()
         return status_counts(states[job.key] for job in jobs)
+
+    # -- reads ----------------------------------------------------------------
+
+    def status(self) -> Dict:
+        """Identity + status histogram as plain JSON-able data."""
+        jobs = self.unique_jobs()
+        states = self.states()
+        counts = status_counts(states[job.key] for job in jobs)
+        return {
+            "id": self.directory.name,
+            "directory": str(self.directory),
+            "name": self.spec.name,
+            "fingerprint": self.spec.fingerprint(),
+            "total": len(jobs),
+            "counts": counts,
+            "complete": counts["done"] == len(jobs),
+            "text": report.status_summary(self, states),
+        }
+
+    def export(self, *, fmt: str = "csv") -> str:
+        """Deterministic CSV/JSON export (streamed or not)."""
+        runtime = self._runtime or get_runtime()
+        return report.export(self, runtime.store, fmt=fmt)
+
+    def progress(self) -> Dict:
+        """Live progress: counts, ETA, per-job states + sample counts."""
+        from repro.dashboard.aggregate import progress
+
+        return progress(self)
+
+    def metrics(self, *, max_jobs: Optional[int] = None) -> Dict:
+        """The full dashboard payload (progress + series + fdp + pressure)."""
+        from repro.dashboard.aggregate import campaign_metrics
+
+        return campaign_metrics(self, max_jobs=max_jobs)
+
+    def stream(
+        self,
+        *,
+        after: int = 0,
+        key: Optional[str] = None,
+        follow: bool = False,
+        poll: float = 0.5,
+        timeout: Optional[float] = None,
+    ) -> Iterator[Dict]:
+        """Iterate streamed sample rows, optionally tailing the store.
+
+        Yields ``{"id", "key", "idx", "record"}`` rows in landing order,
+        starting after cursor ``after`` (a previously-yielded ``id``).
+        ``key`` restricts to one job.  ``follow=True`` keeps polling
+        every ``poll`` seconds for new rows until the campaign is
+        complete (or ``timeout`` seconds elapse); otherwise one pass
+        over what has landed.
+        """
+        store = self.ledger
+        cursor = int(after)
+        deadline = None if timeout is None else time.monotonic() + float(timeout)
+        while True:
+            rows, cursor = store.samples_since(cursor, key=key)
+            yield from rows
+            if not follow:
+                return
+            counts = self.status_counts()
+            if counts["done"] + counts["failed"] >= len(self.unique_jobs()):
+                # Terminal: drain whatever landed after the last poll.
+                rows, cursor = store.samples_since(cursor, key=key)
+                yield from rows
+                return
+            if deadline is not None and time.monotonic() >= deadline:
+                return
+            time.sleep(max(0.05, float(poll)))
+
+    def fold_trace(self, key: str):
+        """Fold one job's streamed samples back into its ``SimTrace``.
+
+        Returns ``None`` when the job has streamed nothing yet; raises
+        :class:`~repro.telemetry.stream.StreamError` on a torn/partial
+        stream (a header with no intervals folds fine — zero-interval
+        traces are valid).
+        """
+        from repro.telemetry.stream import fold_samples
+
+        records = self.ledger.samples(key)
+        if not records:
+            return None
+        return fold_samples(records)
 
 
 class CampaignRun:
@@ -395,5 +538,5 @@ def run_persistent(
     runtime = runtime or get_runtime()
     if directory is None:
         directory = default_directory(spec, campaigns_root(runtime.store.root))
-    campaign = Campaign.create(spec, directory)
+    campaign = Campaign.create(spec, directory, runtime=runtime)
     return drain(campaign, runtime=runtime, retries=retries).require_complete()

@@ -7,8 +7,7 @@ reach the file) pull jobs from.  It holds two tables:
 
 * ``jobs`` — one row per job key, the only record of its state: status,
   attempt count, the live claim (worker and lease expiry) and the last
-  attempt's outcome (error text, elapsed time, cache hit), plus the
-  job's coordinates and config fingerprint as enqueued.
+  attempt's outcome (error text, elapsed time, cache hit).
 * ``samples`` — streamed per-interval telemetry (DESIGN.md §14).
 
 Jobs are keyed by their :class:`~repro.runtime.SimJob` content hash, the
@@ -52,7 +51,7 @@ import sqlite3
 import threading
 import time
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -67,7 +66,8 @@ STATUSES = ("pending", "running", "interrupted", "done", "failed")
 # lets it lapse.
 DEFAULT_LEASE = 60.0
 
-# How long (seconds) a connection waits for another one's lock.
+# How long (seconds) a connection waits for another one's lock: the
+# connect timeout is SQLite's busy timeout.
 _TIMEOUT = 30.0
 
 # The last attempt's outcome.  A database written before the row held
@@ -75,6 +75,9 @@ _TIMEOUT = 30.0
 _OUTCOME_COLUMNS = (("error", "TEXT"), ("elapsed", "REAL"), ("cached", "INTEGER"))
 
 _SCHEMA = (
+    # No row writes ``meta`` any more, but older builds select it when
+    # they read the rows: keeping it keeps a database this build creates
+    # readable to them.
     """
     CREATE TABLE IF NOT EXISTS jobs (
         seq INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -118,7 +121,6 @@ class JobState:
     elapsed: Optional[float] = None
     worker: Optional[str] = None
     cached: bool = False
-    meta: Dict = field(default_factory=dict)
 
 
 def status_counts(states: Iterable[JobState]) -> Dict[str, int]:
@@ -176,7 +178,6 @@ class SqliteJobStore:
                     raise
                 time.sleep(0.005)
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_TIMEOUT * 1000)}")
         for statement in _SCHEMA:
             conn.execute(statement)
         have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
@@ -284,22 +285,21 @@ class SqliteJobStore:
         with self._connection() as conn:
             rows = conn.execute(
                 "SELECT key, state, attempts, error, elapsed, worker, cached, "
-                "lease_expires, meta FROM jobs ORDER BY seq"
+                "lease_expires FROM jobs ORDER BY seq"
             ).fetchall()
         states: Dict[str, JobState] = {}
-        for key, status, attempts, error, elapsed, worker, cached, expires, meta in rows:
+        for key, status, attempts, error, elapsed, worker, cached, expires in rows:
             if status == "running" and (expires is None or expires <= now):
                 status = "interrupted"
             states[key] = JobState(
-                key, status, attempts, error, elapsed, worker, bool(cached),
-                json.loads(meta) if meta else {},
+                key, status, attempts, error, elapsed, worker, bool(cached)
             )
         return states
 
     # -- the worker-facing surface --------------------------------------------
 
-    def ensure_jobs(self, jobs: Sequence[Tuple[str, Optional[Dict]]]) -> int:
-        """Idempotently enqueue ``(key, meta)`` pairs in expansion order.
+    def ensure_jobs(self, keys: Sequence[str]) -> int:
+        """Idempotently enqueue job ``keys`` in expansion order.
 
         Returns how many rows were newly inserted.  Keys already present
         (enqueued by another worker, or already run) are left
@@ -309,14 +309,11 @@ class SqliteJobStore:
         with self._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
-                inserted = 0
-                for key, meta in jobs:
-                    cursor = conn.execute(
-                        "INSERT OR IGNORE INTO jobs (key, state, meta) "
-                        "VALUES (?, 'pending', ?)",
-                        (key, json.dumps(meta, sort_keys=True) if meta else None),
-                    )
-                    inserted += cursor.rowcount
+                # executemany sums the rows each insert added.
+                inserted = conn.executemany(
+                    "INSERT OR IGNORE INTO jobs (key) VALUES (?)",
+                    [(key,) for key in keys],
+                ).rowcount
                 conn.execute("COMMIT")
             except BaseException:
                 conn.execute("ROLLBACK")
@@ -478,7 +475,7 @@ class SqliteJobStore:
 
         Returns ``(rows, new_cursor)``; each row is ``{id, key, idx,
         record}``.  This is the incremental-poll surface the dashboard
-        and ``api.Campaign.stream()`` consume.
+        and ``Campaign.stream()`` consume.
         """
         if not self.exists():
             return [], cursor

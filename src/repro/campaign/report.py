@@ -22,10 +22,13 @@ import csv
 import io
 import json
 from functools import cache
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.campaign.executor import Campaign
+from repro.campaign.jobstore import JobState, status_counts
 from repro.metrics import harmonic_speedup, unfairness, weighted_speedup
+
+if TYPE_CHECKING:  # the executor imports this module for Campaign.status
+    from repro.campaign.executor import Campaign
 
 # Fixed column order for CSV export (every row carries every column).
 EXPORT_COLUMNS = (
@@ -83,11 +86,14 @@ def _telemetry_columns(trace) -> Dict[str, str]:
     }
 
 
-def status_summary(campaign: Campaign) -> str:
-    """Human-readable progress report for one campaign."""
+def status_summary(campaign: Campaign, states: Dict[str, JobState]) -> str:
+    """Human-readable progress report for one campaign.
+
+    ``states`` is what ``campaign.states()`` returned; the caller has
+    read it already, so the job store is not read again here.
+    """
     jobs = campaign.unique_jobs()
-    states = campaign.states()
-    counts = campaign.status_counts()
+    counts = status_counts(states[job.key] for job in jobs)
     total = len(jobs)
     done = counts.get("done", 0)
     lines = [

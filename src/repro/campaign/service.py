@@ -15,8 +15,8 @@ Endpoints (all JSON unless noted):
 * ``POST /campaigns`` — body is a :class:`CampaignSpec` dict with an
   optional ``"directory"``, or the envelope ``{"spec": {...},
   "directory": "..."}``; any other key, or a field of the wrong JSON
-  type, is a 400 naming it.  Creates the campaign directory, enqueues
-  the expansion, and returns its id.
+  type, is a 400 naming it.  Creates the campaign directory and its
+  spec snapshot and returns its id; the first worker enqueues the jobs.
   Re-POSTing an identical spec is idempotent; a different spec for the
   same directory is a 409.
 * ``GET  /campaigns/<id>/status`` — status counts + human summary.
@@ -33,10 +33,10 @@ Endpoints (all JSON unless noted):
 
 Campaign ids are directory basenames under the service root
 (``--root``, default the shared campaigns root); requests cannot escape
-it.  All campaign logic is routed through the :class:`repro.api
-.Campaign` handle (``api.Campaign.create`` / ``api.campaign_open``), so
-the HTTP surface stays a thin shim over the same public API library
-users call.
+it.  All campaign logic is routed through the one
+:class:`~repro.campaign.executor.Campaign` handle (``Campaign.create`` /
+``Campaign.open``, which ``repro.api`` also hands out), so the HTTP
+surface stays a thin shim over the same public API library users call.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.campaign.executor import SPEC_FILE, CampaignError, campaigns_root
+from repro.campaign.executor import SPEC_FILE, Campaign, CampaignError, campaigns_root
 from repro.campaign.spec import SpecError, _typed
 
 DEFAULT_PORT = 8642
@@ -84,12 +84,10 @@ class CampaignService:
     def health(self) -> Dict:
         return {"ok": True, "root": str(self.root)}
 
-    def _open(self, campaign_id: str):
-        from repro import api
-
+    def _open(self, campaign_id: str) -> Campaign:
         directory = self.root / _campaign_id(campaign_id)
         try:
-            return api.campaign_open(directory, runtime=self.runtime)
+            return Campaign.open(directory, runtime=self.runtime)
         except CampaignError as error:
             raise ServiceError(404, str(error)) from error
 
@@ -99,22 +97,18 @@ class CampaignService:
         return render_page()
 
     def list_campaigns(self) -> Dict:
-        from repro import api
-
         campaigns = []
         if self.root.is_dir():
             for entry in sorted(self.root.iterdir()):
                 if not (entry / SPEC_FILE).is_file():
                     continue
                 try:
-                    campaigns.append(api.campaign_open(entry).status())
+                    campaigns.append(Campaign.open(entry).status())
                 except CampaignError:
                     continue  # unreadable snapshot: not served, not fatal
         return {"campaigns": campaigns}
 
     def create_campaign(self, payload: Dict) -> Dict:
-        from repro import api
-
         if not isinstance(payload, dict):
             raise ServiceError(400, "request body must be a JSON object")
         if "spec" in payload:
@@ -135,7 +129,7 @@ class CampaignService:
             if "directory" in payload:
                 name = _typed(payload["directory"], "directory", "string")
                 directory = self.root / _campaign_id(name)
-            campaign = api.Campaign.create(spec, directory=directory, root=self.root)
+            campaign = Campaign.create(spec, directory, root=self.root)
         except SpecError as error:
             raise ServiceError(400, str(error)) from error
         except CampaignError as error:
@@ -171,20 +165,20 @@ class CampaignService:
 
         if step < 1:
             raise ServiceError(400, f"'step' must be >= 1, got {step}")
-        return series(self._open(campaign_id).inner, step=step)
+        return series(self._open(campaign_id), step=step)
 
     def fdp(self, campaign_id: str) -> Dict:
         from repro.dashboard.aggregate import fdp_histogram
 
-        return fdp_histogram(self._open(campaign_id).inner)
+        return fdp_histogram(self._open(campaign_id))
 
     def pressure(self, campaign_id: str) -> Dict:
         from repro.dashboard.aggregate import queue_pressure
 
-        return queue_pressure(self._open(campaign_id).inner)
+        return queue_pressure(self._open(campaign_id))
 
     def samples(self, campaign_id: str, after: int) -> Dict:
-        rows, cursor = self._open(campaign_id).inner.ledger.samples_since(after)
+        rows, cursor = self._open(campaign_id).ledger.samples_since(after)
         return {"rows": rows, "cursor": cursor}
 
 

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.campaign.jobstore import Claim, SqliteJobStore
 from repro.campaign.spec import CampaignJob
-from repro.runtime import JobExecutionError, config_fingerprint, execute_job, get_runtime
+from repro.runtime import JobExecutionError, execute_job, get_runtime
 
 if TYPE_CHECKING:  # the executor imports this module to drive campaigns
     from repro.campaign.executor import Campaign
@@ -50,19 +50,6 @@ HEARTBEAT_FRACTION = 3.0
 def default_worker_id() -> str:
     """host-pid identity, unique across the machines sharing a store."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def job_meta(job: CampaignJob) -> Dict:
-    """What a job's row holds of it: coordinates and config fingerprint."""
-    return {
-        "kind": job.kind,
-        "benchmarks": list(job.benchmarks),
-        "policy": job.policy,
-        "variant": job.variant,
-        "seed": job.seed,
-        "workload_index": job.workload_index,
-        "config_fingerprint": config_fingerprint(job.job.config),
-    }
 
 
 class _Heartbeat:
@@ -168,9 +155,7 @@ def run_worker(
     # One job-store connection serves the whole loop; the heartbeat
     # threads open their own.
     with store.session():
-        seeded = store.ensure_jobs(
-            [(key, job_meta(job)) for key, job in by_key.items()]
-        )
+        seeded = store.ensure_jobs(list(by_key))
         if seeded:
             log(f"[{worker_id}] enqueued {seeded} job(s)")
         while True:

@@ -11,7 +11,7 @@ Two halves, mirroring the log-buffer/api split of stdlib web dashboards:
   served by ``python -m repro.campaign serve`` at ``/``.
 
 Nothing here touches the simulator: the dashboard is a read-only
-consumer of ``api.Campaign`` handles.
+consumer of :class:`~repro.campaign.Campaign` handles.
 """
 
 from repro.dashboard.aggregate import (

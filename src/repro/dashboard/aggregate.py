@@ -9,8 +9,8 @@ Every function here is a pure fold over two sources:
 They are recomputed per request straight from the samples table — the
 table *is* the incremental state (each batched insert advances it), so
 the endpoints always reflect exactly what has landed, torn nothing.
-All outputs are plain JSON-able dicts; ``api.Campaign.metrics()`` and
-the service endpoints return them verbatim.
+All outputs are plain JSON-able dicts; ``Campaign.metrics()`` and the
+service endpoints return them verbatim.
 """
 
 from __future__ import annotations

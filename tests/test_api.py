@@ -2,10 +2,15 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+import repro.campaign
 from repro import api
 from repro.campaign import CampaignSpec, PolicyVariant, SpecError, Workload
 from repro.params import PolicyError, baseline_config, resolve_policy
@@ -117,6 +122,55 @@ def test_api_campaign_rejects_unknown_preset():
         api.campaign("no-such-preset")
 
 
+# -- one campaign handle -------------------------------------------------------
+
+
+def _one_job_campaign(directory):
+    spec = CampaignSpec.build(
+        "one-handle", [["swim"]], ["padc"], 300, include_alone=False
+    )
+    return api.campaign(spec, directory=directory)
+
+
+def test_api_campaign_is_the_campaign_every_caller_holds(tmp_path):
+    assert api.Campaign is repro.campaign.Campaign
+    run = _one_job_campaign(tmp_path / "campaign")
+    assert run.campaign.export() == api.campaign_open(tmp_path / "campaign").export()
+
+
+def test_status_reads_the_job_store_once(tmp_path, monkeypatch):
+    from repro.campaign.jobstore import SqliteJobStore
+
+    _one_job_campaign(tmp_path / "campaign")
+    folds = []
+    real_fold = SqliteJobStore.fold
+
+    def counting_fold(self):
+        folds.append(self.path)
+        return real_fold(self)
+
+    monkeypatch.setattr(SqliteJobStore, "fold", counting_fold)
+    status = api.Campaign.open(tmp_path / "campaign").status()
+    assert status["complete"] and "1 done" in status["text"]
+    assert len(folds) == 1
+
+
+def test_import_repro_leaves_the_campaign_package_unloaded():
+    """``api.Campaign`` is looked up on first use, so a process that
+    never touches a campaign pays nothing for the campaign package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys, repro; "
+        "print(sorted({'repro.campaign', 'sqlite3'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # -- the shared policy table (with_policy / campaign parity) -------------------
 
 
@@ -184,7 +238,7 @@ def test_each_campaign_handle_hashes_each_job_once(tmp_path, monkeypatch):
     assert handle.status()["complete"]
     assert handle.export().count("\n") == 5
     assert handle.metrics()["progress"]["done"] == 4
-    assert_hashed_once(handle.inner)
+    assert_hashed_once(handle)
 
 
 def test_export_and_metrics_read_each_source_once(tmp_path, monkeypatch):
@@ -197,7 +251,7 @@ def test_export_and_metrics_read_each_source_once(tmp_path, monkeypatch):
         "read-once", [["swim", "milc"]], ["demand-first", "padc"], 300
     )
     handle = api.Campaign.create(spec, directory=tmp_path / "campaign")
-    run_worker(handle.inner, stream=True)
+    run_worker(handle, stream=True)
     keys = sorted(job.key for job in handle.unique_jobs())
 
     reads = []
@@ -224,6 +278,6 @@ def test_export_and_metrics_read_each_source_once(tmp_path, monkeypatch):
     metrics = handle.metrics()
     assert len(polls) == 1
     assert metrics["pressure"]["intervals"] > 0
-    assert metrics["series"] == series(handle.inner)
-    assert metrics["fdp"] == fdp_histogram(handle.inner)
-    assert metrics["pressure"] == queue_pressure(handle.inner)
+    assert metrics["series"] == series(handle)
+    assert metrics["fdp"] == fdp_histogram(handle)
+    assert metrics["pressure"] == queue_pressure(handle)

@@ -29,7 +29,6 @@ from repro.campaign import (
 )
 from repro.campaign.jobstore import DB_NAME
 from repro.campaign.report import export
-from repro.campaign.worker import job_meta
 
 POLICIES = ("demand-first", "padc")
 
@@ -54,13 +53,13 @@ class TestLedgerContractParity:
     """A running row reads as running only while its lease is live."""
 
     def test_interrupted_with_live_lease_shows_running(self, store):
-        store.ensure_jobs([("k1", None)])
+        store.ensure_jobs(["k1"])
         claim = store.claim("w1", lease=30.0)
         assert claim.key == "k1"
         assert store.fold()["k1"].status == "running"
 
     def test_interrupted_with_expired_lease_shows_interrupted(self, store):
-        store.ensure_jobs([("k1", None)])
+        store.ensure_jobs(["k1"])
         store.claim("w1", lease=0.01)
         time.sleep(0.05)
         assert store.fold()["k1"].status == "interrupted"
@@ -75,31 +74,31 @@ class TestLedgerContractParity:
 
 class TestClaims:
     def test_claim_order_is_enqueue_order(self, store):
-        store.ensure_jobs([("a", None), ("b", None), ("c", None)])
+        store.ensure_jobs(["a", "b", "c"])
         assert store.claim("w1").key == "a"
         assert store.claim("w1").key == "b"
         assert store.claim("w2").key == "c"
         assert store.claim("w2") is None
 
     def test_enqueue_is_idempotent(self, store):
-        assert store.ensure_jobs([("a", None), ("b", None)]) == 2
-        assert store.ensure_jobs([("a", None), ("b", None), ("c", None)]) == 1
+        assert store.ensure_jobs(["a", "b"]) == 2
+        assert store.ensure_jobs(["a", "b", "c"]) == 1
 
     def test_done_job_is_not_claimable(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         claim = store.claim("w1")
         store.append({"key": "a", "status": "done", "attempt": claim.attempt})
         assert store.claim("w2") is None
         assert store.unfinished() == 0
 
     def test_running_job_with_live_lease_is_not_claimable(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         store.claim("w1", lease=30.0)
         assert store.claim("w2") is None
         assert store.unfinished() == 1  # in flight, so a sibling waits
 
     def test_expired_lease_is_reclaimed(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         first = store.claim("w1", lease=0.01)
         time.sleep(0.05)
         second = store.claim("w2", lease=30.0)
@@ -118,7 +117,7 @@ class TestClaims:
         assert claim is not None and claim.key == "a"
 
     def test_heartbeat_extends_lease(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         claim = store.claim("w1", lease=0.2)
         deadline = time.time() + 1.0
         while time.time() < deadline:
@@ -129,7 +128,7 @@ class TestClaims:
         assert claim.lease_expires < time.time()  # original lease long gone
 
     def test_heartbeat_from_evicted_worker_fails(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         store.claim("w1", lease=0.01)
         time.sleep(0.05)
         store.claim("w2", lease=30.0)
@@ -137,7 +136,7 @@ class TestClaims:
         assert store.heartbeat("a", "w2")
 
     def test_failed_job_retryable_within_budget(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         claim = store.claim("w1")
         store.append(
             {"key": "a", "status": "failed", "attempt": claim.attempt, "error": "x"}
@@ -149,7 +148,7 @@ class TestClaims:
         assert retry is not None and retry.attempt == 2
 
     def test_reopen_gives_a_fresh_attempt_budget(self, store):
-        store.ensure_jobs([("a", None), ("b", None)])
+        store.ensure_jobs(["a", "b"])
         for status in ("failed", "done"):
             claim = store.claim("w1")
             store.append({"key": claim.key, "status": status, "attempt": 1})
@@ -160,11 +159,6 @@ class TestClaims:
         assert [(c.key, c.attempt) for c in again] == [("a", 1), ("b", 1)]
         # Attempts count the claims since the job was last reopened.
         assert store.fold()["a"].attempts == 1
-
-    def test_claim_meta_round_trips(self, store):
-        store.ensure_jobs([("a", {"policy": "padc", "seed": 3})])
-        store.claim("w1")
-        assert store.fold()["a"].meta == {"policy": "padc", "seed": 3}
 
     def test_concurrent_claims_never_collide(self, store):
         assert claim_concurrently(store, sessions=False) == CONCURRENT_KEYS
@@ -180,7 +174,7 @@ def claim_concurrently(store, sessions):
     A short switch interval makes the threads interleave between every
     few bytecodes, so a claim lost or taken twice shows in the result.
     """
-    store.ensure_jobs([(key, None) for key in CONCURRENT_KEYS])
+    store.ensure_jobs(CONCURRENT_KEYS)
     claimed = []
     lock = threading.Lock()
 
@@ -253,7 +247,7 @@ class TestFreshDatabaseRace:
         def enqueue(path, barrier):
             barrier.wait()
             try:
-                SqliteJobStore(path).ensure_jobs([("a", None), ("b", None)])
+                SqliteJobStore(path).ensure_jobs(["a", "b"])
             except Exception as error:  # noqa: BLE001 - counted below
                 errors.append(error)
 
@@ -322,7 +316,7 @@ def record_connects(monkeypatch):
 class TestSession:
     def test_one_connection_serves_every_call(self, store, monkeypatch):
         """And between calls it holds no snapshot and no lock."""
-        store.ensure_jobs([("a", None), ("b", None)])
+        store.ensure_jobs(["a", "b"])
         opened = record_connects(monkeypatch)
         with store.session():
             claim = store.claim("w1")
@@ -351,7 +345,7 @@ class TestSession:
         assert store.unfinished() == 0
 
     def test_heartbeat_from_another_thread_renews_the_lease(self, store):
-        store.ensure_jobs([("a", None)])
+        store.ensure_jobs(["a"])
         with store.session():
             claim = store.claim("w1", lease=0.01)
             renewed = []
@@ -364,6 +358,22 @@ class TestSession:
             time.sleep(0.05)  # the claim's own lease is long gone
             assert store.fold()["a"].status == "running"
             assert store.claim("w2") is None
+
+
+class TestConnection:
+    def test_connection_waits_30_s_for_a_lock(self, store):
+        # The connect timeout is SQLite's busy timeout; no pragma sets it.
+        with store._connection() as conn:
+            assert conn.execute("PRAGMA busy_timeout").fetchone() == (30000,)
+
+    def test_meta_column_is_kept_for_older_builds(self, store):
+        """Older builds select ``meta`` with every row, so the column
+        stays, unwritten, and they can still read this build's store."""
+        store.ensure_jobs(["a"])
+        with store._connection() as conn:
+            assert conn.execute("SELECT key, meta FROM jobs").fetchall() == [
+                ("a", None)
+            ]
 
 
 class TestWorkerLoop:
@@ -549,9 +559,7 @@ class TestExportEquality:
         campaign = Campaign.create(spec, tmp_path / "reclaimed")
         store = campaign.ledger
         # Emulate the SIGKILL: a claim that never completes nor heartbeats.
-        store.ensure_jobs(
-            [(job.key, job_meta(job)) for job in campaign.unique_jobs()]
-        )
+        store.ensure_jobs([job.key for job in campaign.unique_jobs()])
         doomed = store.claim("doomed", lease=0.01)
         assert doomed is not None
         time.sleep(0.05)
@@ -621,7 +629,11 @@ class TestUpgradePath:
             conn.executescript(JOURNAL_SCHEMA)
             for job in jobs:
                 status = "failed" if job is failed else "done"
-                meta = job_meta(job)
+                # What such a build enqueued as the job's meta.
+                meta = {"kind": job.kind, "benchmarks": list(job.benchmarks),
+                        "policy": job.policy, "variant": job.variant,
+                        "seed": job.seed, "workload_index": job.workload_index,
+                        "config_fingerprint": "0123456789abcdef"}
                 conn.execute(
                     "INSERT INTO jobs (key, state, attempts, worker, meta) "
                     "VALUES (?, ?, 1, 'w1', ?)",

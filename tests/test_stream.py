@@ -194,7 +194,7 @@ def test_sample_store_surface(tmp_path):
     # Key filter, and a claim that restarts one job's stream.
     only_b, _ = sink.samples_since(0, key="b")
     assert [row["record"] for row in only_b] == records
-    sink.ensure_jobs([("a", None)])
+    sink.ensure_jobs(["a"])
     assert sink.claim("w1").key == "a"
     assert sink.samples("a") == []
     assert "a" not in sink.sample_counts()
@@ -213,7 +213,7 @@ def test_reclaim_clears_torn_stream(tmp_path):
     """A dead worker's partial stream vanishes when its job is reclaimed:
     the claim transaction deletes the key's samples."""
     store = SqliteJobStore(tmp_path / DB_NAME)
-    store.ensure_jobs([("job-1", None)])
+    store.ensure_jobs(["job-1"])
     claim = store.claim("worker-a", lease=0.01)
     assert claim.key == "job-1"
     store.append_samples("job-1", [{"type": "header"}, {"type": "interval"}])
@@ -324,7 +324,7 @@ def test_two_worker_drain_streams_every_job(tmp_path):
 
 def _run_streamed_campaign(tmp_path):
     handle = api.Campaign.create(small_spec(), directory=tmp_path / "c")
-    run_worker(handle.inner, stream=True, lease=30.0)
+    run_worker(handle, stream=True, lease=30.0)
     return handle
 
 
