@@ -6,14 +6,12 @@ streams of *L2 accesses*.  Each line carries the P bit used by the
 prefetch-accuracy measurement (paper §4.1) and by the prefetch filters.
 """
 
-from repro.cache.cache import CacheLine, EvictionInfo, L2Cache, LookupResult
+from repro.cache.cache import CacheLine, L2Cache
 from repro.cache.mshr import MSHR, MSHREntry
 
 __all__ = [
     "CacheLine",
-    "EvictionInfo",
     "L2Cache",
-    "LookupResult",
     "MSHR",
     "MSHREntry",
 ]

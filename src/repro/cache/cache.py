@@ -1,26 +1,27 @@
-"""Set-associative L2 cache with LRU replacement and per-line P bits.
+"""Set-associative L2 cache state: LRU sets of lines with per-line P bits.
 
 Each :class:`CacheLine` records whether the line was brought in by a
 prefetch (the P bit, cleared on the first demand hit — paper §4.1), which
 core prefetched it, and whether its DRAM service was a row hit (used for
 the RBHU metric of §6.1.1).
 
+:class:`L2Cache` holds the state only.  The demand lookup and the fill
+(LRU update, P-bit clearing, dirty bits, victim selection) live in the
+simulation loop's handlers (``handle_core`` and ``handle_fill`` in
+:mod:`repro.sim.loop`), which read and write ``_sets`` directly.
+
 Hot-path layout (DESIGN.md §15): each set is a plain insertion-ordered
 ``dict`` (LRU at the front, MRU at the back).  Recency updates are
 *intrusive* — ``pop`` + reinsert moves a line to the MRU end in two C
 dict operations, and eviction takes the front key via ``next(iter(...))``
-— which measures faster than the former ``OrderedDict`` (its
+— which measures faster than an ``OrderedDict`` (its
 ``popitem(last=False)`` pays for doubly-linked-list bookkeeping the plain
-dict does not carry).  ``lookup`` returns shared singletons for the two
-overwhelmingly common outcomes so a demand access allocates nothing; the
-simulation backends inline the same protocol and never build a
-:class:`LookupResult` at all.
+dict does not carry).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.params import CacheConfig
 
@@ -44,33 +45,6 @@ class CacheLine:
         self.dirty = dirty
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of a demand lookup."""
-
-    hit: bool
-    first_use_of_prefetch: bool = False
-    prefetch_core: Optional[int] = None
-    prefetch_row_hit_fill: bool = False
-
-
-@dataclass(frozen=True)
-class EvictionInfo:
-    """Describes a line evicted by a fill (for filter training/writeback)."""
-
-    line_addr: int
-    prefetched_unused: bool
-    core_id: int
-    dirty: bool = False
-
-
-# Shared singleton results for the two overwhelmingly common lookup
-# outcomes (the dataclass is frozen, so sharing is safe): a plain hit and
-# a miss allocate nothing.
-_PLAIN_HIT = LookupResult(hit=True)
-_MISS = LookupResult(hit=False)
-
-
 class L2Cache:
     """LRU set-associative cache tracking prefetch usefulness per line."""
 
@@ -83,85 +57,14 @@ class L2Cache:
         self._sets: List[Dict[int, CacheLine]] = [
             {} for _ in range(self.num_sets)
         ]
-        self.demand_hits = 0
-        self.demand_misses = 0
-        self.useful_prefetch_hits = 0
-
-    def _set_for(self, line_addr: int) -> Dict[int, CacheLine]:
-        return self._sets[line_addr % self.num_sets]
-
-    def contains(self, line_addr: int) -> bool:
-        return line_addr in self._set_for(line_addr)
-
-    def lookup(self, line_addr: int, is_write: bool = False) -> LookupResult:
-        """Demand lookup: updates LRU and clears the P bit on first use.
-
-        A write hit marks the line dirty; the dirty line generates a
-        writeback to DRAM when it is eventually evicted.
-        """
-        cache_set = self._sets[line_addr % self.num_sets]
-        line = cache_set.pop(line_addr, None)
-        if line is None:
-            self.demand_misses += 1
-            return _MISS
-        cache_set[line_addr] = line  # reinsert at the MRU end
-        self.demand_hits += 1
-        if is_write:
-            line.dirty = True
-        if line.prefetched and not line.ever_used:
-            line.ever_used = True
-            line.prefetched = False
-            self.useful_prefetch_hits += 1
-            return LookupResult(
-                hit=True,
-                first_use_of_prefetch=True,
-                prefetch_core=line.core_id,
-                prefetch_row_hit_fill=line.row_hit_fill,
-            )
-        return _PLAIN_HIT
 
     def touch_for_prefetcher(self, line_addr: int) -> bool:
-        """Presence probe that does not disturb LRU or the P bit."""
+        """Presence probe that does not disturb LRU or the P bit.
+
+        The runahead path's residency check (the hot paths probe
+        ``_sets`` inline).
+        """
         return line_addr in self._sets[line_addr % self.num_sets]
-
-    def fill(
-        self,
-        line_addr: int,
-        prefetched: bool,
-        core_id: int,
-        row_hit_fill: bool = False,
-        dirty: bool = False,
-    ) -> Optional[EvictionInfo]:
-        """Insert a line; returns eviction info when a victim is replaced."""
-        cache_set = self._sets[line_addr % self.num_sets]
-        line = cache_set.pop(line_addr, None)
-        if line is not None:
-            # Already present (e.g. a redundant fill); refresh LRU only.
-            cache_set[line_addr] = line
-            if dirty:
-                line.dirty = True
-            return None
-        evicted = None
-        if len(cache_set) >= self.assoc:
-            victim_addr = next(iter(cache_set))
-            victim = cache_set.pop(victim_addr)
-            evicted = EvictionInfo(
-                line_addr=victim_addr,
-                prefetched_unused=victim.prefetched and not victim.ever_used,
-                core_id=victim.core_id,
-                dirty=victim.dirty,
-            )
-        cache_set[line_addr] = CacheLine(prefetched, core_id, row_hit_fill, dirty)
-        return evicted
-
-    def invalidate(self, line_addr: int) -> bool:
-        """Remove a line if present (used by tests and failure injection)."""
-        cache_set = self._set_for(line_addr)
-        return cache_set.pop(line_addr, None) is not None
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
 
     def unused_prefetched_by_core(self) -> Dict[int, int]:
         """Count of resident never-used prefetched lines, per owning core.
@@ -176,7 +79,3 @@ class L2Cache:
                 if line.prefetched and not line.ever_used:
                     counts[line.core_id] = counts.get(line.core_id, 0) + 1
         return counts
-
-    def hit_rate(self) -> float:
-        total = self.demand_hits + self.demand_misses
-        return self.demand_hits / total if total else 0.0

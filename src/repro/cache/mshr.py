@@ -44,7 +44,6 @@ class MSHR:
     def __init__(self, entries: int):
         self.capacity = entries
         self._entries: Dict[int, MSHREntry] = {}
-        self.allocation_failures = 0
         # Lifetime counters: occupancy must always equal
         # total_allocated - total_freed (audited by repro.validate).
         self.total_allocated = 0
@@ -52,6 +51,11 @@ class MSHR:
         # High-water mark since the telemetry layer last sampled it (one
         # compare per allocation; the collector resets it per interval).
         self.peak_occupancy = 0
+
+    # The loop's demand, prefetch and fill handlers work on ``_entries``
+    # directly; the methods below serve the paths that do not: runahead
+    # (``contains``, ``allocate``), the prefetch-drop callback (``free``)
+    # and the invariant checker (``get``, ``entries``).
 
     def get(self, line_addr: int) -> Optional[MSHREntry]:
         return self._entries.get(line_addr)
@@ -62,7 +66,6 @@ class MSHR:
     def allocate(self, line_addr: int, request: MemRequest) -> Optional[MSHREntry]:
         """Allocate an entry; returns None when the file is full."""
         if len(self._entries) >= self.capacity:
-            self.allocation_failures += 1
             return None
         if line_addr in self._entries:
             raise ValueError(f"duplicate MSHR allocation for line 0x{line_addr:x}")

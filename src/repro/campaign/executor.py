@@ -163,7 +163,9 @@ class Campaign:
 
         ``spec`` is a :class:`CampaignSpec`, a preset name or a spec
         dict; ``root`` is the campaigns root the default directory is
-        derived under.  Nothing is enqueued: the first worker to start
+        derived under (default :func:`campaigns_root` of ``runtime``'s
+        result store when a runtime is given, else of the process-wide
+        runtime's).  Nothing is enqueued: the first worker to start
         enqueues the whole expansion, and until then every job reads as
         ``pending``.
 
@@ -175,6 +177,8 @@ class Campaign:
         """
         spec = coerce_spec(spec)
         if directory is None:
+            if root is None and runtime is not None:
+                root = campaigns_root(runtime.store.root)
             directory = default_directory(spec, root)
         directory = Path(directory)
         spec_path = directory / SPEC_FILE
@@ -536,7 +540,5 @@ def run_persistent(
     and how to resume if anything failed.
     """
     runtime = runtime or get_runtime()
-    if directory is None:
-        directory = default_directory(spec, campaigns_root(runtime.store.root))
     campaign = Campaign.create(spec, directory, runtime=runtime)
     return drain(campaign, runtime=runtime, retries=retries).require_complete()

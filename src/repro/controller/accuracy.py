@@ -20,7 +20,12 @@ from typing import List, Sequence, Tuple
 
 
 class PrefetchAccuracyTracker:
-    """PSC/PUC/PAR per core, plus derived criticality/urgency flags."""
+    """PSC/PUC/PAR per core, plus the per-core flags the scheduler reads.
+
+    ``prefetch_critical`` feeds the C and U bits of APS (the rule itself
+    lives in :mod:`repro.controller.aps`); ``drop_threshold`` is APD's
+    Table 6 lookup.
+    """
 
     def __init__(
         self,
@@ -78,13 +83,3 @@ class PrefetchAccuracyTracker:
             accuracy = self.par[core]
             self.prefetch_critical[core] = accuracy >= self.promotion_threshold
             self.drop_threshold[core] = self._lookup_drop_threshold(accuracy)
-
-    # -- scheduler-facing queries -----------------------------------------
-
-    def is_critical(self, core_id: int, is_prefetch: bool) -> bool:
-        """C bit: demands always; prefetches only from accurate cores."""
-        return (not is_prefetch) or self.prefetch_critical[core_id]
-
-    def is_urgent(self, core_id: int, is_prefetch: bool) -> bool:
-        """U bit: demands from cores whose prefetcher is inaccurate."""
-        return (not is_prefetch) and not self.prefetch_critical[core_id]

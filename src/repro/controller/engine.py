@@ -1,8 +1,7 @@
 """DRAM controller engine: request buffers + channels + a scheduling policy.
 
 The engine owns one request buffer per channel (organized as per-bank
-queues plus a line-address index for demand matching) and performs the
-scheduling rounds:
+queues) and performs the scheduling rounds:
 
 * a *tick* considers every bank that is free at the current cycle, lets the
   policy pick the best request per bank, and services the winners in
@@ -112,23 +111,15 @@ class DRAMControllerEngine:
         self.dropper = dropper
         self.on_drop = on_drop
         self.reference = reference
+        # Validates banks_per_channel (a power of two) for every decode,
+        # the loop's inline ones included.
         self.mapping = AddressMapping(config)
-        # Decode constants hoisted for the inlined decode in
-        # build_request (AddressMapping validates banks_per_channel).
-        self._dec_lines = config.lines_per_row
-        self._dec_channels = config.num_channels
-        self._dec_banks = config.banks_per_channel
-        self._dec_perm = config.permutation_interleaving
-        self._dec_bank_mask = config.banks_per_channel - 1
         self.channels: List[Channel] = [
             Channel(config, channel_id) for channel_id in range(config.num_channels)
         ]
         banks = config.banks_per_channel
         self._queues: List[List[List[MemRequest]]] = [
             [[] for _ in range(banks)] for _ in range(config.num_channels)
-        ]
-        self._index: List[Dict[int, MemRequest]] = [
-            {} for _ in range(config.num_channels)
         ]
         self._occupancy: List[int] = [0] * config.num_channels
         self._overflow: List[deque] = [deque() for _ in range(config.num_channels)]
@@ -179,6 +170,11 @@ class DRAMControllerEngine:
             self.tick = self._tick_reference
 
     # -- admission ---------------------------------------------------------
+    # The loop's demand and prefetch handlers fuse their own copy of
+    # build_request + enqueue_* + _admit (sim/loop.py).  These methods
+    # remain the cold paths — writebacks, runahead, overflow draining —
+    # and the admission path of the engine-level differential tests,
+    # which drive an engine without a loop.
 
     def build_request(
         self,
@@ -190,16 +186,7 @@ class DRAMControllerEngine:
         is_runahead: bool = False,
     ) -> MemRequest:
         """Decode the address and construct a request (not yet enqueued)."""
-        # Inlined AddressMapping.decode_coords (constants hoisted at
-        # construction); the column index is not part of the request, so
-        # its modulo is skipped too.
-        rest = line_addr // self._dec_lines
-        channel = rest % self._dec_channels
-        rest //= self._dec_channels
-        bank = rest % self._dec_banks
-        row = rest // self._dec_banks
-        if self._dec_perm:
-            bank = (bank ^ row) & self._dec_bank_mask
+        channel, bank, row, _column = self.mapping.decode_coords(line_addr)
         self._seq += 1
         return MemRequest(
             line_addr=line_addr,
@@ -240,12 +227,6 @@ class DRAMControllerEngine:
         queue = self._queues[channel][bank_idx]
         request.qpos = len(queue)
         queue.append(request)
-        # Writebacks stay out of the line-address index: they never match a
-        # demand, and indexing them let a writeback to line X silently evict
-        # the index entry of a queued read/prefetch to the same line, making
-        # find_queued lie about in-buffer requests.
-        if not request.is_write:
-            self._index[channel][request.line_addr] = request
         if request.is_prefetch and self.dropper is not None:
             checks = self._drop_check[channel]
             deadline = self.dropper.drop_deadline(request)
@@ -265,14 +246,6 @@ class DRAMControllerEngine:
         if self._occupancy[channel] > self.peak_occupancy[channel]:
             self.peak_occupancy[channel] = self._occupancy[channel]
 
-    def _unindex(self, request: MemRequest) -> None:
-        """Drop ``request`` from the line-address index (identity-guarded)."""
-        if request.is_write:
-            return
-        index = self._index[request.channel]
-        if index.get(request.line_addr) is request:
-            del index[request.line_addr]
-
     def _unref_row(self, request: MemRequest) -> None:
         if self._row_refs is not None:
             refs = self._row_refs[request.channel][request.bank]
@@ -283,20 +256,9 @@ class DRAMControllerEngine:
                 del refs[request.row]
 
     def _remove(self, request: MemRequest) -> None:
-        self._unindex(request)
         self._unref_row(request)
         self._occupancy[request.channel] -= 1
         self._drain_overflow(request.channel)
-
-    # -- demand matching -----------------------------------------------------
-
-    def find_queued(self, line_addr: int, channel: int) -> Optional[MemRequest]:
-        """Look up an in-buffer read/prefetch by line address (for promotion).
-
-        Writebacks are not indexed — a queued writeback to the same line
-        never shadows the read/prefetch entry.
-        """
-        return self._index[channel].get(line_addr)
 
     def earliest_service(self, request: MemRequest, now: int) -> int:
         """First cycle at which ``request``'s bank could service it.
@@ -380,7 +342,6 @@ class DRAMControllerEngine:
         priority_key = policy.priority_key
         hit_delta = policy.hit_delta
         critical_bit = policy.critical_bit
-        index_map = self._index[channel_id]
         occupancy = self._occupancy
         overflow = self._overflow[channel_id]
         census_d = (
@@ -531,11 +492,6 @@ class DRAMControllerEngine:
                     queue[pos] = last
                     last.qpos = pos
                 request.qpos = -1
-                if (
-                    not request.is_write
-                    and index_map.get(request.line_addr) is request
-                ):
-                    del index_map[request.line_addr]
                 if row_refs_ch is not None:
                     refs = row_refs_ch[bank_idx]
                     remaining = refs[row] - 1
@@ -594,7 +550,9 @@ class DRAMControllerEngine:
         """The naive scheduling round: every priority re-derived per tick.
 
         The differential oracle for :meth:`make_event_ticker`: same
-        policy semantics, same tie-breaks, none of the caching.
+        policy semantics, same tie-breaks, none of the caching.  A
+        ``reference`` engine runs it; the fuzzer and the equivalence
+        tests compare the two backends' results byte for byte.
         """
         channel = self.channels[channel_id]
         queues = self._queues[channel_id]
@@ -644,7 +602,6 @@ class DRAMControllerEngine:
     def _drop(self, request: MemRequest) -> None:
         # Overflow draining is deferred to the end of the scan: admitting a
         # waiting demand here could append to the bank queue being iterated.
-        self._unindex(request)
         self._unref_row(request)
         if self._census_prefetch is not None:
             # Only prefetches are ever dropped.
@@ -705,10 +662,6 @@ class DRAMControllerEngine:
     def overflow_requests(self, channel_id: int) -> List[MemRequest]:
         """Demands waiting in the overflow FIFO (used by validation)."""
         return list(self._overflow[channel_id])
-
-    def indexed_requests(self, channel_id: int) -> Dict[int, MemRequest]:
-        """Snapshot of the line-address index (used by validation)."""
-        return dict(self._index[channel_id])
 
     def census_counts(
         self, channel_id: int

@@ -6,7 +6,7 @@ Each request carries the fields of the paper's Figure 5/18:
   request matches the prefetch while it is still in flight; a promoted
   request schedules as a demand and counts as a *useful* prefetch.
 * ``core_id`` — the ID field.
-* ``arrival`` — the FCFS timestamp; ``age(now)`` derives the AGE field.
+* ``arrival`` — the FCFS timestamp; ``now - arrival`` is the AGE field.
 * criticality (C), row-hit (RH), urgency (U) and RANK are computed at
   scheduling time from the bank state and the per-core accuracy registers.
 
@@ -97,10 +97,6 @@ class MemRequest:
         # Index of this request in its bank queue (-1 = not queued),
         # maintained by the fast round for O(1) swap-pop removal.
         self.qpos = -1
-
-    def age(self, now: int) -> int:
-        """Cycles this request has been outstanding (the AGE field)."""
-        return now - self.arrival
 
     def promote(self) -> None:
         """A demand matched this in-flight prefetch: clear the P bit.

@@ -1,9 +1,10 @@
 """Per-core simulation state.
 
-``CoreState`` tracks trace consumption, outstanding demand misses and the
-ROB-occupancy stall condition.  The event mechanics (what happens on an
-access or a fill) live in :mod:`repro.sim.system`; this class holds the
-bookkeeping and the model-level predicates.
+``CoreState`` holds a core's trace, its outstanding demand misses and its
+stall bookkeeping.  The mechanics — consuming the trace, the ROB-occupancy
+stall test, what happens on an access or a fill — live in the simulation
+loop's handlers (:mod:`repro.sim.loop`), which read and write these
+fields directly.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class CoreState:
         self.accesses_done = 0
         self.instructions_issued = 0
         # line_addr -> instructions_issued at the time the miss was sent.
+        # Kept ordered by send time (writers delete-then-set on re-insert),
+        # so the loop's ROB test reads the oldest miss as the first value.
         self.outstanding_demand: Dict[int, int] = {}
         self.stalled = False
         self.stall_start = 0
@@ -72,13 +75,7 @@ class CoreState:
         self.mshr_stalls = 0
         self.runahead_issued = 0
 
-    # -- trace consumption --------------------------------------------------
-
-    def next_entry(self) -> Optional[TraceEntry]:
-        """Consume the next trace entry (from the lookahead buffer first)."""
-        if self.lookahead:
-            return self.lookahead.popleft()
-        return next(self.trace, None)
+    # -- runahead ------------------------------------------------------------
 
     def peek_ahead(self, depth: int) -> Deque[TraceEntry]:
         """Expose up to ``depth`` future entries without consuming them.
@@ -94,35 +91,9 @@ class CoreState:
             self.lookahead.append(entry)
         return self.lookahead
 
-    # -- stall model ----------------------------------------------------------
-
-    def rob_blocked(self) -> bool:
-        """True when the ROB is full behind the oldest outstanding miss."""
-        outstanding = self.outstanding_demand
-        if not outstanding:
-            return False
-        # Entries are kept ordered by send time (writers delete-then-set on
-        # re-insert), so the first value is the oldest — no min() scan.
-        oldest = next(iter(outstanding.values()))
-        return self.instructions_issued - oldest >= self.config.rob_size
-
-    def exec_cycles(self, gap: int) -> int:
-        """Cycles needed to issue ``gap`` instructions at full width."""
-        width = self.config.retire_width
-        return (gap + width - 1) // width
-
     # -- results ----------------------------------------------------------------
 
     @property
     def instructions_retired(self) -> int:
         """Total instructions: inter-access gaps plus the loads themselves."""
         return self.instructions_issued + self.accesses_done
-
-    def ipc(self) -> float:
-        if not self.finish_time:
-            return 0.0
-        return self.instructions_retired / self.finish_time
-
-    def spl(self) -> float:
-        """Stall cycles per load (the paper's SPL metric, §5.2)."""
-        return self.stall_cycles / self.loads if self.loads else 0.0

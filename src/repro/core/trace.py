@@ -9,7 +9,7 @@ prefetchers and filters).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class TraceEntry(NamedTuple):
@@ -20,16 +20,3 @@ class TraceEntry(NamedTuple):
     pc: int
     is_write: bool = False
 
-
-def trace_from_tuples(tuples: Iterable) -> Iterator[TraceEntry]:
-    """Adapt (gap, line_addr[, pc[, is_write]]) tuples to TraceEntries."""
-    for item in tuples:
-        if len(item) == 2:
-            gap, line_addr = item
-            yield TraceEntry(int(gap), int(line_addr), 0)
-        elif len(item) == 3:
-            gap, line_addr, pc = item
-            yield TraceEntry(int(gap), int(line_addr), int(pc))
-        else:
-            gap, line_addr, pc, is_write = item[:4]
-            yield TraceEntry(int(gap), int(line_addr), int(pc), bool(is_write))

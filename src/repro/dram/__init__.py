@@ -6,13 +6,12 @@ channel, plus the physical address mapping (including permutation-based
 page interleaving from Zhang et al. [38]).
 """
 
-from repro.dram.address import AddressMapping, DecodedAddress
+from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank, RowBufferState
 from repro.dram.channel import Channel
 
 __all__ = [
     "AddressMapping",
-    "DecodedAddress",
     "Bank",
     "RowBufferState",
     "Channel",

@@ -12,19 +12,7 @@ row index, spreading row-conflicting addresses across banks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.params import DRAMConfig
-
-
-@dataclass(frozen=True)
-class DecodedAddress:
-    """DRAM coordinates of one cache line."""
-
-    channel: int
-    bank: int
-    row: int
-    column: int
 
 
 class AddressMapping:
@@ -38,11 +26,6 @@ class AddressMapping:
         self._bank_mask = self._num_banks - 1
         if self._num_banks & self._bank_mask:
             raise ValueError("banks_per_channel must be a power of two")
-
-    def decode(self, line_addr: int) -> DecodedAddress:
-        """Map a cache-line address to its DRAM coordinates."""
-        channel, bank, row, column = self.decode_coords(line_addr)
-        return DecodedAddress(channel=channel, bank=bank, row=row, column=column)
 
     def decode_coords(self, line_addr: int):
         """Decode into a plain ``(channel, bank, row, column)`` tuple.

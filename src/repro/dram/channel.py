@@ -21,9 +21,7 @@ class Channel:
     def __init__(self, config: DRAMConfig, channel_id: int = 0):
         self.config = config
         self.channel_id = channel_id
-        self.banks: List[Bank] = [
-            Bank(config.timings) for _ in range(config.banks_per_channel)
-        ]
+        self.banks: List[Bank] = [Bank() for _ in range(config.banks_per_channel)]
         self.bus_busy_until: int = 0
         self.lines_transferred: int = 0
         # Lifetime data-bus cycles booked (one burst per line); the
@@ -34,7 +32,6 @@ class Channel:
         # (row_buffer_state, pre-burst work) pairs per access outcome.
         timings = config.timings
         self._burst = timings.burst
-        self._pipelined_cas = timings.pipelined_cas
         self._post_burst = timings.cl if timings.pipelined_cas else 0
         hit_work = 0 if timings.pipelined_cas else timings.cl
         self._hit = (RowBufferState.HIT, hit_work)
@@ -44,20 +41,18 @@ class Channel:
             timings.t_rp + timings.t_rcd + hit_work,
         )
 
-    def bank_free(self, bank_idx: int, now: int) -> bool:
-        return self.banks[bank_idx].busy_until <= now
-
     def service(self, bank_idx: int, row: int, now: int) -> Tuple[RowBufferState, int]:
         """Service one request on ``bank_idx`` starting at ``now``.
 
         Returns ``(row_buffer_state, completion_time)``.  The caller must
         ensure the bank is free at ``now``.
 
-        The reference scheduling round calls this; the fast round in
-        ``DRAMControllerEngine.make_event_ticker`` inlines the same body
-        (with the outcome pairs above prebound) — a behavioral change
-        here must be mirrored there, or the golden equivalence matrix and
-        the differential fuzzer will flag the event backend as divergent.
+        The reference scheduling round calls this; it is the oracle for
+        the fast round in ``DRAMControllerEngine.make_event_ticker``,
+        which inlines the same body (with the outcome pairs above
+        prebound) — a behavioral change here must be mirrored there, or
+        the golden equivalence matrix and the differential fuzzer will
+        flag the event backend as divergent.
 
         Timing model (paper §2.1 / footnote 4): the bank is occupied for
         the full command sequence — CL for a row-hit, tRCD+CL row-closed,
@@ -74,7 +69,6 @@ class Channel:
                 f"bank {bank_idx} busy until {bank.busy_until}, now={now}"
             )
         burst = self._burst
-        # Inlined Bank.access with the outcome pairs precomputed above.
         open_row = bank.open_row
         if open_row == row:
             bank.hits += 1
@@ -102,14 +96,3 @@ class Channel:
         bank.busy_cycles += burst_end - now
         self.lines_transferred += 1
         return state, completion
-
-    def next_bank_free_time(self, bank_indices) -> int:
-        """Earliest time any of ``bank_indices`` becomes free."""
-        return min(self.banks[b].busy_until for b in bank_indices)
-
-    def row_hit_rate(self) -> float:
-        total = sum(b.total_accesses for b in self.banks)
-        if not total:
-            return 0.0
-        hits = sum(b.hits for b in self.banks)
-        return hits / total

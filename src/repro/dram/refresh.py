@@ -71,7 +71,3 @@ class RefreshScheduler:
             bank.precharge()
         self.refreshes_issued += 1
         return done
-
-    def bandwidth_overhead(self) -> float:
-        """Fraction of time spent refreshing (tRFC / tREFI)."""
-        return self.config.cycles / self.config.interval

@@ -19,7 +19,10 @@ class DRAMTimings:
     The paper uses 15 ns per command (precharge tRP, activate tRCD,
     read/write CL) on a DDR3-1333 part; at a 4 GHz core clock that is 60
     cycles per command.  A 64-byte line on a 16B-wide DDR bus with BL=4
-    occupies the data bus for 3 ns = 12 cycles.
+    occupies the data bus for 3 ns = 12 cycles.  An access that hits the
+    open row needs CL, one to a precharged bank tRCD + CL, and one that
+    conflicts with the open row tRP + tRCD + CL: the paper's 1:2:3
+    latency ratio (§2.1), applied by ``Channel.service``.
     """
 
     t_rp: int = 60
@@ -31,21 +34,6 @@ class DRAMTimings:
     # is what makes row-buffer locality worth fighting for.  False: the
     # column access serializes per bank (one line per CL per bank).
     pipelined_cas: bool = True
-
-    @property
-    def row_hit_latency(self) -> int:
-        """Latency of an access that hits the open row (read/write only)."""
-        return self.cl
-
-    @property
-    def row_closed_latency(self) -> int:
-        """Latency when no row is open (activate + read/write)."""
-        return self.t_rcd + self.cl
-
-    @property
-    def row_conflict_latency(self) -> int:
-        """Latency when a different row is open (precharge+activate+rw)."""
-        return self.t_rp + self.t_rcd + self.cl
 
 
 @dataclass(frozen=True)

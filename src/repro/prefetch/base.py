@@ -33,11 +33,6 @@ class Prefetcher:
         """
         raise NotImplementedError
 
-    @property
-    def aggressiveness(self):  # pragma: no cover - informational
-        """(degree, distance) if meaningful for this prefetcher."""
-        return None
-
     def set_aggressiveness(self, degree: int, distance: int) -> None:
         """Adopt an FDP throttling decision.
 

@@ -42,10 +42,6 @@ class CDCPrefetcher(Prefetcher):
         # evict the front key (DESIGN.md §15).
         self._table: Dict[int, _ZoneEntry] = {}
 
-    @property
-    def aggressiveness(self):
-        return (self.degree, self.degree)
-
     def on_access(self, line_addr, was_hit, pc=0, allocate=True) -> List[int]:
         zone = line_addr >> self.czone_shift
         table = self._table

@@ -28,10 +28,6 @@ class MarkovPrefetcher(Prefetcher):
         self._table: Dict[int, List[int]] = {}
         self._last_miss: Optional[int] = None
 
-    @property
-    def aggressiveness(self):
-        return (self.degree, self.degree)
-
     def on_access(self, line_addr, was_hit, pc=0, allocate=True) -> List[int]:
         if was_hit:
             return []

@@ -19,9 +19,9 @@ match interval ``[lo, hi]`` maintained at the handful of mutation sites
 (allocate, train, trigger, rewind).  The match scan in ``on_access`` —
 one run over up to ``num_streams`` entries per L2 access — then reduces
 to a single range compare per entry, with no state branch and no
-low/high swap for descending streams.  ``mon_start``/``mon_end`` keep
-the paper's directed-region semantics (and the existing tests'
-expectations); lo/hi are derived bookkeeping only.
+low/high swap for descending streams.  ``mon_end`` is the region's
+directed leading edge, the point the next batch of prefetches starts
+from.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class StreamEntry:
         "state",
         "start",
         "direction",
-        "mon_start",
         "mon_end",
         "last_use",
         "lo",
@@ -52,7 +51,6 @@ class StreamEntry:
         self.state = _ALLOCATED
         self.start = start
         self.direction = 0
-        self.mon_start = start
         self.mon_end = start
         self.last_use = now_tick
         # Normalized match window: while allocated, an access within
@@ -60,12 +58,6 @@ class StreamEntry:
         # window is the (direction-normalized) monitoring region.
         self.lo = start - train_distance
         self.hi = start + train_distance
-
-    def contains(self, line_addr: int) -> bool:
-        low, high = self.mon_start, self.mon_end
-        if low > high:
-            low, high = high, low
-        return low <= line_addr <= high
 
 
 class StreamPrefetcher(Prefetcher):
@@ -87,10 +79,6 @@ class StreamPrefetcher(Prefetcher):
         self.entries: List[StreamEntry] = []
         self._tick = 0
         self._last_triggered: Optional[StreamEntry] = None
-
-    @property
-    def aggressiveness(self):
-        return (self.degree, self.distance)
 
     def set_aggressiveness(self, degree: int, distance: int) -> None:
         """Used by FDP to throttle/boost the prefetcher."""
@@ -134,7 +122,6 @@ class StreamPrefetcher(Prefetcher):
             direction = 1 if line_addr > start else -1
             end = start + self.distance * direction
             entry.direction = direction
-            entry.mon_start = start
             entry.mon_end = end
             entry.state = _MONITORING
             if direction > 0:
@@ -151,7 +138,6 @@ class StreamPrefetcher(Prefetcher):
         degree = self.degree
         shift = degree * direction
         entry.mon_end = edge + shift
-        entry.mon_start += shift
         entry.lo += shift
         entry.hi += shift
         self._last_triggered = entry
@@ -179,6 +165,5 @@ class StreamPrefetcher(Prefetcher):
             return
         retreat = min(count, self.degree) * entry.direction
         entry.mon_end -= retreat
-        entry.mon_start -= retreat
         entry.lo -= retreat
         entry.hi -= retreat

@@ -39,10 +39,6 @@ class StridePrefetcher(Prefetcher):
         self.threshold = threshold
         self._table: Dict[int, _StrideEntry] = {}
 
-    @property
-    def aggressiveness(self):
-        return (self.degree, self.degree)
-
     def on_access(self, line_addr, was_hit, pc=0, allocate=True) -> List[int]:
         table = self._table
         entry = table.pop(pc, None)

@@ -19,8 +19,11 @@ time is no longer the channel's pending time is discarded.
 
 The hot handlers (core access, prefetch issue, runahead, fill) are
 closures over hoisted locals, with the engine's request admission fused
-into them; the cold paths (writebacks, drops, refresh, interval end,
-result collection) are single ``System`` methods.  Those push through
+into them.  They are the only implementation of the L2 lookup and fill,
+the core's trace consumption and ROB stall test, and demand-to-prefetch
+promotion; ``L2Cache`` and ``CoreState`` hold the state they work on.
+The cold paths (writebacks, drops, refresh, interval end, result
+collection) are single ``System`` methods.  Those push through
 ``system._seq``, so the closures' local ``seq`` is written back before,
 and reloaded after, every call that can push.  The scheduling round is
 ``engine.tick``: the cached-key round, or the naive reference round on a
@@ -74,7 +77,6 @@ def run_loop(
     # forks of build_request + enqueue_* + _admit + earliest_service
     # below; every behavioral line is a direct port of those methods).
     e_queues = engine._queues
-    e_index = engine._index
     e_occupancy = engine._occupancy
     e_overflow = engine._overflow
     e_peak = engine.peak_occupancy
@@ -88,11 +90,15 @@ def run_loop(
     e_stats = engine.stats
     e_channels = engine.channels
     buffer_size = engine.config.request_buffer_size
-    dec_lines = engine._dec_lines
-    dec_channels = engine._dec_channels
-    dec_banks = engine._dec_banks
-    dec_perm = engine._dec_perm
-    dec_bank_mask = engine._dec_bank_mask
+    # AddressMapping.decode_coords, inlined below with its constants
+    # hoisted; the column index is not part of a request, so its modulo
+    # is skipped too.
+    dram = engine.config
+    dec_lines = dram.lines_per_row
+    dec_channels = dram.num_channels
+    dec_banks = dram.banks_per_channel
+    dec_perm = dram.permutation_interleaving
+    dec_bank_mask = dram.banks_per_channel - 1
     record_sent = tracker.record_sent
     record_used = tracker.record_used
     telemetry_on = system._telemetry_on
@@ -103,7 +109,7 @@ def run_loop(
     pf_service_pending = system._pf_service_pending
     mshr_waiters = system._mshr_waiters
     tick_pending = system._tick_pending
-    # Per-core structure tables for the forked cache/MSHR/ROB fast paths.
+    # Per-core structure tables for the cache/MSHR/ROB fast paths.
     sets_by_core = [c._sets for c in caches]
     nsets_by_core = [c.num_sets for c in caches]
     assoc_by_core = [c.assoc for c in caches]
@@ -151,8 +157,6 @@ def run_loop(
         queue = e_queues[channel][bank_idx]
         request.qpos = len(queue)
         queue.append(request)
-        if not request.is_write:
-            e_index[channel][request.line_addr] = request
         if e_drop_deadline is not None and request.is_prefetch:
             checks = e_drop_check[channel]
             deadline = e_drop_deadline(request)
@@ -294,17 +298,14 @@ def run_loop(
             core.loads += 1
             core.accesses_done += 1
 
-        cache = caches[core_id]
         mshr = mshrs[core_id]
         line = entry[1]
         is_write = entry[3]
-        # Fork of L2Cache.lookup — the branch bodies consume the line's
-        # fields directly, so no LookupResult is ever built.
+        # The L2 demand lookup (L2Cache holds only the sets).
         cache_set = sets_by_core[core_id][line % nsets_by_core[core_id]]
         line_obj = cache_set.pop(line, None)
         if line_obj is not None:
             cache_set[line] = line_obj  # reinsert at the MRU end
-            cache.demand_hits += 1
             if is_write:
                 line_obj.dirty = True
             if not retry:
@@ -312,7 +313,6 @@ def run_loop(
             if line_obj.prefetched and not line_obj.ever_used:
                 line_obj.ever_used = True
                 line_obj.prefetched = False
-                cache.useful_prefetch_hits += 1
                 count_useful(line_obj.core_id, line, line_obj.row_hit_fill, False)
             on_access = pf_on_access[core_id]
             if on_access is not None:
@@ -320,7 +320,6 @@ def run_loop(
                 if candidates:
                     issue_prefetches(core_id, candidates, entry[2], now)
         else:
-            cache.demand_misses += 1
             if not retry:
                 # FDP feedback counts architectural misses, so it shares
                 # the retry guard: an access that stalled on a full MSHR
@@ -349,8 +348,7 @@ def run_loop(
                     mshr_entry.dirty_on_fill = True
                 mshr_entry.waiters.append(core_id)
                 # Delete-then-set keeps the dict ordered by send time, the
-                # invariant CoreState.rob_blocked()'s O(1) oldest read
-                # needs.
+                # invariant the ROB test's O(1) oldest read below needs.
                 od = core.outstanding_demand
                 if line in od:
                     del od[line]
@@ -413,8 +411,9 @@ def run_loop(
                     issue_prefetches(core_id, candidates, entry[2], now)
 
         core.pending_entry = None
-        # Fork of CoreState.rob_blocked (first outstanding entry is the
-        # oldest; see that method's ordering comment).
+        # The ROB test: the core stalls once rob_size instructions have
+        # issued behind its oldest outstanding miss (the first entry of
+        # the send-ordered outstanding_demand).
         od = core.outstanding_demand
         if od and core.instructions_issued - next(iter(od.values())) >= rob_by_core[
             core_id
@@ -480,9 +479,8 @@ def run_loop(
             if row_hit:
                 stats.demand_row_hits += 1
 
-        # Fork of L2Cache.fill — victim fields are consumed right here, so
-        # no EvictionInfo is built.  The new line lands before the victim's
-        # side effects run, matching fill-then-handle-eviction order.
+        # The L2 fill.  The new line lands before the victim's side
+        # effects (writeback, unused-prefetch accounting) run.
         dirty_fill = bool(mshr_entry is not None and mshr_entry.dirty_on_fill)
         cache_set = sets_by_core[core_id][line % nsets_by_core[core_id]]
         resident = cache_set.pop(line, None)
@@ -524,7 +522,7 @@ def run_loop(
                 od = waiter.outstanding_demand
                 od.pop(line, None)
                 if waiter.stalled and not waiter.waiting_mshr and not waiter.done:
-                    # Fork of CoreState.rob_blocked.
+                    # The ROB test again: resume once the window reopens.
                     if (
                         not od
                         or waiter.instructions_issued - next(iter(od.values()))

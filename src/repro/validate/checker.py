@@ -14,9 +14,9 @@ The audited laws (see DESIGN.md §7 for the why):
   serviced, dropped, or still queued (bank queues + overflow FIFO),
   exactly once; one line crosses the bus per service.
 * **Buffer reconciliation** — per-channel occupancy equals the sum of
-  the bank-queue lengths, never exceeds the buffer size, and the
-  line-address index is a bijection onto the queued non-writeback
-  requests (the promotion path cannot lie).
+  the bank-queue lengths and never exceeds the buffer size; every
+  queued request sits in its own channel and bank's queue; the overflow
+  FIFO holds only demands, and only while the buffer is full.
 * **Round bookkeeping** — what the fast scheduling round trusts instead
   of rescanning: every queued request's ``qpos`` is its queue index
   (swap-pop removes by it), the per-core demand/prefetch census (the
@@ -137,19 +137,6 @@ class InvariantChecker:
                             f"ch{channel_id}: already-resolved request still "
                             f"queued: {request!r}"
                         )
-            index = engine.indexed_requests(channel_id)
-            non_writes = [request for request in queued if not request.is_write]
-            for request in non_writes:
-                if index.get(request.line_addr) is not request:
-                    out.append(
-                        f"ch{channel_id}: queued {request!r} missing from or "
-                        f"shadowed in the line-address index"
-                    )
-            if len(index) != len(non_writes):
-                out.append(
-                    f"ch{channel_id}: index holds {len(index)} entries but "
-                    f"{len(non_writes)} non-writeback requests are queued"
-                )
             overflow = engine.overflow_requests(channel_id)
             for request in overflow:
                 if request.is_prefetch:

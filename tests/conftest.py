@@ -87,3 +87,41 @@ def tiny_system_config(policy="padc", num_cores=1, **kwargs):
 @pytest.fixture
 def tiny_config():
     return tiny_system_config()
+
+
+def trace_config(sets=1, ways=2, policy="no-pref", prefetcher=None, core=None):
+    """A one-core system with a ``sets`` x ``ways`` L2, for hand-written traces."""
+    return SystemConfig(
+        core=core or CoreConfig(),
+        cache=CacheConfig(
+            size_bytes=sets * ways * 64, associativity=ways, mshr_entries=8
+        ),
+        prefetcher=prefetcher or PrefetcherConfig(kind="none"),
+        policy=policy,
+    )
+
+
+def trace_system(config, trace=()):
+    """Build a one-core ``System`` that replays a hand-written trace.
+
+    ``trace`` is an iterable of ``TraceEntry``.  The ``System`` is built
+    on a placeholder benchmark whose trace is then replaced (as
+    ``perfbench/spans.py`` wraps it), so every line address is exactly
+    the one given.  It runs under the invariant checker.
+    """
+    from repro.sim.system import System
+
+    system = System(config, ["swim"], check=True)
+    system.cores[0].trace = iter(trace)
+    return system
+
+
+def run_trace(config, trace):
+    """Run :func:`trace_system` over ``trace`` (a list) to its end.
+
+    Returns ``(system, result)``.  The loop stops once the core has
+    issued its last access, so the fill of a miss in that last access
+    never lands; a core that never finishes is cut at 10M cycles.
+    """
+    system = trace_system(config, trace)
+    return system, system.run(len(trace), max_cycles=10_000_000)

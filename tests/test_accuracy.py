@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.accuracy import PrefetchAccuracyTracker
+from repro.controller.aps import AdaptivePrefetchScheduler
+from repro.controller.request import MemRequest
 
 
 def make_tracker(num_cores=2, **kwargs):
     return PrefetchAccuracyTracker(num_cores=num_cores, **kwargs)
+
+
+def make_request(core, is_prefetch):
+    return MemRequest(0x100, core, is_prefetch, 0, 0, 0, 0)
 
 
 class TestCounters:
@@ -64,7 +70,6 @@ class TestDerivedFlags:
             tracker.record_used(0)
         tracker.end_interval()
         assert tracker.prefetch_critical[0]
-        assert tracker.is_critical(0, is_prefetch=True)
 
     def test_below_threshold_not_critical(self):
         tracker = make_tracker(promotion_threshold=0.85)
@@ -74,21 +79,27 @@ class TestDerivedFlags:
             tracker.record_used(0)
         tracker.end_interval()
         assert not tracker.prefetch_critical[0]
-        assert not tracker.is_critical(0, is_prefetch=True)
+
+    # APS reads the C and U bits off the tracker's per-core flag; its
+    # priority tuple starts (C, RH, U, ...).
 
     def test_demands_always_critical(self):
         tracker = make_tracker()
         tracker.record_sent(0)
-        tracker.end_interval()
-        assert tracker.is_critical(0, is_prefetch=False)
+        tracker.end_interval()  # core 0 accuracy -> 0
+        assert not tracker.prefetch_critical[0]
+        aps = AdaptivePrefetchScheduler(tracker)
+        assert aps.priority(make_request(core=0, is_prefetch=False), False)[0]
+        assert not aps.priority(make_request(core=0, is_prefetch=True), False)[0]
 
     def test_urgency_is_demand_of_inaccurate_core(self):
         tracker = make_tracker()
         tracker.record_sent(0)
         tracker.end_interval()  # core 0 accuracy -> 0
-        assert tracker.is_urgent(0, is_prefetch=False)
-        assert not tracker.is_urgent(0, is_prefetch=True)
-        assert not tracker.is_urgent(1, is_prefetch=False)
+        aps = AdaptivePrefetchScheduler(tracker)
+        assert aps.priority(make_request(core=0, is_prefetch=False), False)[2]
+        assert not aps.priority(make_request(core=0, is_prefetch=True), False)[2]
+        assert not aps.priority(make_request(core=1, is_prefetch=False), False)[2]
 
 
 class TestDropThresholds:

@@ -9,6 +9,10 @@ bit-for-bit equal to an uninterrupted run.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -617,6 +621,19 @@ class TestCampaignDirectory:
         assert campaigns_root() == tmp_path / "sweeps"
         assert default_directory(small_spec()).parent == tmp_path / "sweeps"
 
+    def test_create_derives_its_directory_from_the_given_runtime(
+        self, tmp_path, monkeypatch
+    ):
+        # The process-wide runtime's store is B; the runtime passed in is A.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "B"))
+        monkeypatch.delenv("REPRO_CAMPAIGN_DIR", raising=False)
+        given = runtime.Runtime(jobs=1, cache_dir=str(tmp_path / "A"))
+        spec = small_spec(accesses=100)
+        created = api.Campaign.create(spec, runtime=given)
+        run = api.campaign(spec, runtime=given)
+        assert created.directory == run.campaign.directory
+        assert created.directory.parent == tmp_path / "A" / "campaigns"
+
 
 class TestParallelCampaign:
     def test_two_worker_run_matches_serial(self, tmp_path):
@@ -809,6 +826,24 @@ class TestCLI:
         assert message in capsys.readouterr().err
         states = Campaign.open(directory).states().values()
         assert {(state.status, state.attempts) for state in states} == {("pending", 0)}
+
+    def test_status_into_a_closed_pipe_exits_quietly(self, tmp_path):
+        # ``status ... | grep -q running`` closes the pipe once grep matches.
+        directory = tmp_path / "campaign"
+        Campaign.create(small_spec(), directory)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.campaign", "status", str(directory)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == ""
+        assert proc.returncode == 1
 
     def test_smoke_preset_runs(self, tmp_path):
         directory = tmp_path / "campaign"

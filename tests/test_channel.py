@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.controller.engine import DRAMControllerEngine
+from repro.controller.policies import make_policy
+from repro.controller.request import MemRequest
 from repro.dram.bank import RowBufferState
 from repro.dram.channel import Channel
 from repro.params import DRAMConfig, DRAMTimings
@@ -84,10 +87,11 @@ class TestChannelBookkeeping:
 
     def test_bank_free_predicate(self):
         channel = make_channel()
-        assert channel.bank_free(0, now=0)
         channel.service(0, row=1, now=0)
-        assert not channel.bank_free(0, now=1)
-        assert channel.bank_free(0, now=channel.banks[0].busy_until)
+        free = channel.banks[0].busy_until
+        with pytest.raises(ValueError):
+            channel.service(0, row=1, now=free - 1)
+        channel.service(0, row=1, now=free)
 
     def test_lines_transferred_counts(self):
         channel = make_channel()
@@ -96,14 +100,23 @@ class TestChannelBookkeeping:
         assert channel.lines_transferred == 2
 
     def test_row_hit_rate_aggregates_banks(self):
+        # The aggregate System._collect reports as row_buffer_hit_rate.
         channel = make_channel()
         channel.service(0, row=1, now=0)
         free = channel.banks[0].busy_until
         channel.service(0, row=1, now=free)
-        assert channel.row_hit_rate() == 0.5
+        channel.service(1, row=1, now=0)
+        channel.service(1, row=2, now=channel.banks[1].busy_until)
+        hits = sum(bank.hits for bank in channel.banks)
+        total = sum(bank.total_accesses for bank in channel.banks)
+        assert (hits, total) == (1, 4)
 
     def test_next_bank_free_time(self):
-        channel = make_channel()
+        # The engine schedules a new request's tick at its bank's free time.
+        engine = DRAMControllerEngine(DRAMConfig(), make_policy("demand-first"))
+        channel = engine.channels[0]
         channel.service(0, row=1, now=0)
-        assert channel.next_bank_free_time([0]) == channel.banks[0].busy_until
-        assert channel.next_bank_free_time([1]) == 0
+        on_busy = MemRequest(0, 0, False, 5, channel=0, bank=0, row=1)
+        on_idle = MemRequest(64, 0, False, 5, channel=0, bank=1, row=1)
+        assert engine.earliest_service(on_busy, 5) == channel.banks[0].busy_until
+        assert engine.earliest_service(on_idle, 5) == 5

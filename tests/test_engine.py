@@ -35,7 +35,7 @@ class TestAdmission:
         engine = make_engine()
         request, _ = add_request(engine, 0x100)
         assert engine.occupancy(0) == 1
-        assert engine.find_queued(0x100, 0) is request
+        assert engine.bank_queues(0)[request.bank] == [request]
 
     def test_prefetch_rejected_when_full(self):
         engine = make_engine(buffer_size=2)
@@ -57,10 +57,12 @@ class TestAdmission:
         engine = make_engine(buffer_size=2)
         add_request(engine, 1)
         add_request(engine, 2)
-        add_request(engine, 3)
+        waiting, _ = add_request(engine, 3)
+        assert engine.overflow_requests(0) == [waiting]
         engine.tick(0, 0)
         # At least one slot freed; the overflow demand must be admitted.
-        assert engine.find_queued(3, 0) is not None
+        assert engine.overflow_requests(0) == []
+        assert waiting in engine.bank_queues(0)[waiting.bank]
 
 
 class TestScheduling:
@@ -188,12 +190,13 @@ class TestDropping:
 
 
 class TestWritebackIndexIsolation:
-    """Writebacks must never shadow reads/prefetches in the line index.
+    """A writeback shares the bank queue with a read or prefetch to its line.
 
-    Regression: ``_admit`` used to index every request, so a writeback to
-    line X evicted the index entry of a queued read/prefetch to X, and
-    servicing the writeback then deleted the *read's* entry — after which
-    ``find_queued`` denied the read existed and demand promotion broke.
+    The class is named for the engine's former line-address index, where
+    a writeback to line X once hid a queued read or prefetch to X.  The
+    index is gone (promotion finds a prefetch through its MSHR entry);
+    these tests keep checking that a writeback and a read or prefetch to
+    one line are queued, serviced and promoted independently.
     """
 
     def enqueue_writeback(self, engine, line, now=0):
@@ -201,36 +204,16 @@ class TestWritebackIndexIsolation:
         engine.enqueue_demand(request)
         return request
 
-    def test_writeback_alone_not_indexed(self):
-        engine = make_engine()
-        self.enqueue_writeback(engine, 0x100)
-        assert engine.occupancy(0) == 1
-        assert engine.find_queued(0x100, 0) is None
-        assert engine.indexed_requests(0) == {}
-
     def test_writeback_does_not_shadow_queued_read(self):
-        engine = make_engine()
-        read, _ = add_request(engine, 0x100, now=0)
-        self.enqueue_writeback(engine, 0x100, now=1)
-        assert engine.find_queued(0x100, 0) is read
-
-    def test_late_read_still_indexed_behind_writeback(self):
-        engine = make_engine()
-        self.enqueue_writeback(engine, 0x100, now=0)
-        read, _ = add_request(engine, 0x100, now=1)
-        assert engine.find_queued(0x100, 0) is read
-
-    def test_servicing_writeback_keeps_read_indexed(self):
         engine = make_engine(policy="demand-first")
-        writeback = self.enqueue_writeback(engine, 0x100, now=0)
-        read, _ = add_request(engine, 0x100, now=1)
+        read, _ = add_request(engine, 0x100, now=0)
+        writeback = self.enqueue_writeback(engine, 0x100, now=1)
+        assert engine.bank_queues(0)[read.bank] == [read, writeback]
         serviced, _ = engine.tick(0, 1)
-        assert serviced == [writeback]  # FCFS: the older writeback goes first
-        assert engine.find_queued(0x100, 0) is read
+        assert serviced == [read]  # FCFS: the older read goes first
         now = engine.channels[0].banks[read.bank].busy_until
         serviced, _ = engine.tick(0, now)
-        assert serviced == [read]
-        assert engine.indexed_requests(0) == {}
+        assert serviced == [writeback]
         assert engine.occupancy(0) == 0
 
     def test_servicing_writeback_keeps_prefetch_promotable(self):
@@ -240,10 +223,14 @@ class TestWritebackIndexIsolation:
         assert accepted
         serviced, _ = engine.tick(0, 1)
         assert serviced == [writeback]  # demand-first: writeback beats prefetch
-        queued = engine.find_queued(0x100, 0)
-        assert queued is prefetch
-        queued.promote()  # the promotion path the stale index used to break
+        assert engine.bank_queues(0)[prefetch.bank] == [prefetch]
+        prefetch.promote()
+        engine.note_promotion(prefetch)
         assert prefetch.promoted
+        now = engine.channels[0].banks[prefetch.bank].busy_until
+        serviced, _ = engine.tick(0, now)
+        assert serviced == [prefetch]
+        assert engine.stats.scheduled_demands == 2  # it scheduled as a demand
 
 
 class TestPromotionInQueue:
@@ -251,7 +238,6 @@ class TestPromotionInQueue:
         engine = make_engine(policy="demand-first")
         prefetch, _ = add_request(engine, 1, is_prefetch=True, now=0)
         demand, _ = add_request(engine, 2, now=1)
-        queued = engine.find_queued(1, 0)
-        queued.promote()
+        prefetch.promote()
         serviced, _ = engine.tick(0, 1)
         assert serviced[0] is prefetch  # now a demand; FCFS beats demand 2

@@ -71,13 +71,13 @@ class TestFDP:
 
     def test_initial_level_applied(self):
         fdp, prefetcher = self.make(level=2)
-        assert prefetcher.aggressiveness == AGGRESSIVENESS_LEVELS[2]
+        assert (prefetcher.degree, prefetcher.distance) == AGGRESSIVENESS_LEVELS[2]
 
     def test_low_accuracy_throttles_down(self):
         fdp, prefetcher = self.make(level=4)
         fdp.sent, fdp.used = 100, 10  # 10% accuracy
         assert fdp.adjust() == 3
-        assert prefetcher.aggressiveness == AGGRESSIVENESS_LEVELS[3]
+        assert (prefetcher.degree, prefetcher.distance) == AGGRESSIVENESS_LEVELS[3]
 
     def test_high_accuracy_and_late_boosts(self):
         fdp, _ = self.make(level=2)

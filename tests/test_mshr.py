@@ -33,7 +33,7 @@ class TestAllocation:
         assert mshr.allocate(2, request(2)) is not None
         assert mshr.full
         assert mshr.allocate(3, request(3)) is None
-        assert mshr.allocation_failures == 1
+        assert mshr.occupancy == 2
 
     def test_duplicate_allocation_raises(self):
         mshr = MSHR(4)

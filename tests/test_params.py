@@ -16,23 +16,24 @@ from repro.params import (
 
 
 class TestDRAMTimings:
+    # Paper Table 4: 15 ns per command on DDR3-1333, 60 cycles at 4 GHz.
+    # A row hit needs CL, a closed row tRCD + CL, a row conflict
+    # tRP + tRCD + CL (Channel.service applies them).
+
     def test_row_hit_latency_is_cl(self, timings):
-        assert timings.row_hit_latency == timings.cl
+        assert timings.cl == 60
 
     def test_row_closed_latency(self, timings):
-        assert timings.row_closed_latency == timings.t_rcd + timings.cl
+        assert timings.t_rcd + timings.cl == 120
 
     def test_row_conflict_latency(self, timings):
-        assert (
-            timings.row_conflict_latency
-            == timings.t_rp + timings.t_rcd + timings.cl
-        )
+        assert timings.t_rp + timings.t_rcd + timings.cl == 180
 
     def test_paper_latency_ratio(self, timings):
         """Hit : closed : conflict should approximate the paper's 1:2:3."""
-        hit = timings.row_hit_latency
-        assert timings.row_closed_latency == 2 * hit
-        assert timings.row_conflict_latency == 3 * hit
+        hit = timings.cl
+        assert timings.t_rcd + timings.cl == 2 * hit
+        assert timings.t_rp + timings.t_rcd + timings.cl == 3 * hit
 
     def test_frozen(self, timings):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -33,8 +33,16 @@ class TestRefreshScheduler:
         assert channel.banks[0].busy_until == 500
 
     def test_bandwidth_overhead(self):
+        """Refresh holds the banks tRFC of every tREFI: ~2% for DDR3."""
         scheduler = RefreshScheduler(RefreshConfig(interval=31_200, cycles=640))
-        assert 0.02 < scheduler.bandwidth_overhead() < 0.025
+        channel = Channel(DRAMConfig())
+        now = busy = 0
+        for _ in range(10):
+            now = scheduler.next_refresh_after(now)
+            busy += scheduler.apply(channel, now) - now
+        assert scheduler.refreshes_issued == 10
+        assert now == 10 * 31_200
+        assert 0.02 < busy / now < 0.025
 
     def test_from_dram_config(self):
         dram = DRAMConfig(refresh_enabled=True, refresh_interval=123, refresh_cycles=7)

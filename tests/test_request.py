@@ -37,13 +37,6 @@ class TestPromotion:
         assert not request.is_prefetch
 
 
-class TestAge:
-    def test_age_grows_with_time(self):
-        request = make_request(arrival=500)
-        assert request.age(500) == 0
-        assert request.age(1700) == 1200
-
-
 class TestDefaults:
     def test_initial_flags(self):
         request = make_request()

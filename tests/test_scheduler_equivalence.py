@@ -197,9 +197,10 @@ class TestEpochInvalidation:
                 break
         _add(engine, line, now=2)
 
-        # A matching demand arrives: promote the in-flight prefetch.
-        promoted = engine.find_queued(0x200, 0)
-        assert promoted is prefetch
+        # A matching demand arrives: promote the in-flight prefetch (the
+        # loop reaches it through the line's MSHR entry).
+        promoted = prefetch
+        assert promoted in engine.bank_queues(0)[promoted.bank]
         promoted.promote()
         assert promoted.prio_stamp == -1  # cache invalidated
         engine.note_promotion(promoted)

@@ -32,14 +32,18 @@ class TestAllocationAndTraining:
         assert prefetcher.on_access(102, was_hit=False) == []
         entry = prefetcher.entries[0]
         assert entry.direction == 1
-        assert entry.mon_start == 100
+        assert (entry.lo, entry.hi) == (100, 164)
         assert entry.mon_end == 164
 
     def test_direction_detection_descending(self):
         prefetcher = make_prefetcher()
         prefetcher.on_access(100, was_hit=False)
         prefetcher.on_access(98, was_hit=False)
-        assert prefetcher.entries[0].direction == -1
+        entry = prefetcher.entries[0]
+        assert entry.direction == -1
+        # The match window is normalized: lo <= hi whatever the direction.
+        assert (entry.lo, entry.hi) == (36, 100)
+        assert entry.mon_end == 36
 
     def test_repeated_start_access_stays_training(self):
         prefetcher = make_prefetcher()
@@ -78,7 +82,7 @@ class TestPrefetchIssue:
         prefetcher = make_prefetcher()
         self.issue_sequence(prefetcher)
         entry = prefetcher.entries[0]
-        assert entry.mon_start == 104
+        assert (entry.lo, entry.hi) == (104, 168)
         assert entry.mon_end == 168
 
     def test_access_behind_region_does_not_trigger(self):
@@ -143,7 +147,7 @@ class TestAggressiveness:
     def test_set_aggressiveness(self):
         prefetcher = make_prefetcher()
         prefetcher.set_aggressiveness(2, 16)
-        assert prefetcher.aggressiveness == (2, 16)
+        assert (prefetcher.degree, prefetcher.distance) == (2, 16)
         prefetcher.on_access(100, was_hit=False)
         prefetcher.on_access(101, was_hit=False)
         candidates = prefetcher.on_access(102, was_hit=True)

@@ -148,8 +148,8 @@ class TestMultiCore:
         system = System(
             baseline_config(2, policy="padc"), [STREAMY, STREAMY], seed=0
         )
-        first = system.cores[0].next_entry()
-        second = system.cores[1].next_entry()
+        first = next(system.cores[0].trace)
+        second = next(system.cores[1].trace)
         assert first.line_addr >> 54 != second.line_addr >> 54
 
     def test_contention_slows_cores_down(self):

@@ -2,11 +2,15 @@
 
 import itertools
 
-from repro.cache.cache import L2Cache
-from repro.params import CacheConfig, baseline_config
+from repro.cache.cache import CacheLine
+from repro.core.trace import TraceEntry
+from repro.params import baseline_config
 from repro.sim import simulate
 from repro.workloads import BenchmarkProfile
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from tests.conftest import trace_config, trace_system
+
+GAP = 4_000
 
 STORE_HEAVY = BenchmarkProfile(
     name="storeheavy",
@@ -20,40 +24,72 @@ STORE_HEAVY = BenchmarkProfile(
 )
 
 
+def accesses(*ops):
+    """``"r5"`` reads line 5 and ``"w5"`` writes it, GAP instructions apart."""
+    return [TraceEntry(GAP, int(op[1:]), 0, op[0] == "w") for op in ops]
+
+
+def record_writebacks(system):
+    """Log the line of every writeback the loop issues."""
+    lines = []
+    issue = system._issue_writeback
+
+    def recording(core_id, line, now):
+        lines.append(line)
+        issue(core_id, line, now)
+
+    system._issue_writeback = recording
+    return lines
+
+
+def run_writes(trace):
+    """Run ``trace`` in one 2-way set; return the writebacks and result.
+
+    Accesses are GAP instructions (1,000 cycles) apart, so each fill, and
+    each writeback an eviction issues, completes before the next access.
+    """
+    system = trace_system(trace_config(), trace)
+    lines = record_writebacks(system)
+    result = system.run(len(trace))
+    assert result.cores[0].writeback_fills == len(lines)
+    return lines, result
+
+
 class TestCacheDirtyBits:
-    def make_cache(self):
-        return L2Cache(CacheConfig(size_bytes=2 * 64 * 2, associativity=2))
+    # Line 2's fill evicts line 0, the LRU line of the 2-way set; line 3
+    # is a last access whose fill never lands.
 
     def test_write_hit_marks_dirty(self):
-        cache = self.make_cache()
-        cache.fill(0, prefetched=False, core_id=0)
-        cache.lookup(0, is_write=True)
-        cache.fill(2, prefetched=False, core_id=0)
-        evicted = cache.fill(4, prefetched=False, core_id=0)
-        assert evicted.line_addr == 0
-        assert evicted.dirty
+        writebacks, _ = run_writes(accesses("r0", "w0", "r1", "r2", "r3"))
+        assert writebacks == [0]
 
     def test_clean_eviction_not_dirty(self):
-        cache = self.make_cache()
-        cache.fill(0, prefetched=False, core_id=0)
-        cache.fill(2, prefetched=False, core_id=0)
-        evicted = cache.fill(4, prefetched=False, core_id=0)
-        assert not evicted.dirty
+        writebacks, _ = run_writes(accesses("r0", "r0", "r1", "r2", "r3"))
+        assert writebacks == []
 
     def test_dirty_fill(self):
-        cache = self.make_cache()
-        cache.fill(0, prefetched=False, core_id=0, dirty=True)
-        cache.fill(2, prefetched=False, core_id=0)
-        evicted = cache.fill(4, prefetched=False, core_id=0)
-        assert evicted.dirty
+        # A write miss allocates the line dirty (write-allocate).
+        writebacks, _ = run_writes(accesses("w0", "r1", "r2", "r3"))
+        assert writebacks == [0]
 
     def test_redundant_dirty_fill_upgrades(self):
-        cache = self.make_cache()
-        cache.fill(0, prefetched=False, core_id=0)
-        cache.fill(0, prefetched=False, core_id=0, dirty=True)
-        cache.fill(2, prefetched=False, core_id=0)
-        evicted = cache.fill(4, prefetched=False, core_id=0)
-        assert evicted.dirty
+        # A clean copy of line 0 is planted while its write miss is in
+        # flight: the fill finds it resident and marks it dirty.
+        planted = CacheLine(False, 0, False)
+        system = trace_system(trace_config())
+        writebacks = record_writebacks(system)
+        sets = system._caches[0]._sets
+
+        def trace():
+            yield from accesses("w0")
+            sets[0][0] = planted
+            yield from accesses("r1", "r2", "r3")
+
+        system.cores[0].trace = trace()
+        result = system.run(4)
+        assert planted.dirty
+        assert writebacks == [0]
+        assert result.cores[0].writeback_fills == 1
 
 
 class TestTraceWrites:
