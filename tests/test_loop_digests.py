@@ -7,15 +7,20 @@ fuzz cases (every policy, writes, runahead, refresh, two channels, a
 shared cache, DDPF and FDP), plus configurations the fuzzer never
 draws: a closed-row controller under padc-rank, a ``max_cycles`` cap
 that ends the run while requests are still in flight, a traced run
-that also collects prefetch service times, and eight intense cores
-under the ranking policies (the fuzzer draws at most four cores, so
-only these cases churn the core rank every round).
+that also collects prefetch service times, eight intense cores under
+the ranking policies (the fuzzer draws at most four cores, so only
+these cases churn the core rank every round), a skip-less stream
+prefetcher under FDP (the only case that rewinds streams, and that
+sets their degree and distance mid-run), streams of degree 8 and distance
+128 (windows wider than 64 lines) and perfbench's four L2-resident
+profiles (a full stream table that mostly matches nothing).
 
 A deliberate behaviour change regenerates the file with
 ``PYTHONPATH=src python tests/test_loop_digests.py`` and bumps
 ``repro.runtime.store.CACHE_VERSION`` in the same change.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -27,6 +32,7 @@ from repro.fuzz import build_config, random_case
 from repro.params import BACKENDS, baseline_config
 from repro.sim.results import SimResult
 from repro.sim.system import System
+from repro.workloads import get_profile
 
 GOLDEN = Path(__file__).parent / "golden" / "loop_digests.json"
 
@@ -39,6 +45,14 @@ MIX4 = ("mcf_06", "libquantum_06", "lucas_00", "hmmer_06")
 MIX8 = (
     "art_00", "milc_06", "galgel_00", "omnetpp_06",
     "swim_00", "lbm_06", "mcf_06", "leslie3d_06",
+)
+# perfbench's l2-resident workload: working sets that fit the private L2,
+# with a 2% stream component.
+L2_RESIDENT = tuple(
+    dataclasses.replace(
+        get_profile(base), name=f"{base}_res", stream_fraction=0.02
+    )
+    for base in ("eon_00", "gamess_06", "povray_06", "crafty_00")
 )
 
 
@@ -92,6 +106,40 @@ def _eight_core_aps_rank_2ch(backend: str) -> SimResult:
     return System(config, MIX8, seed=7, backend=backend).run(1_500)
 
 
+def _skipless_fdp_system(backend: str) -> System:
+    config = baseline_config(num_cores=2, policy="demand-first", filter_kind="fdp")
+    config = dataclasses.replace(
+        config, prefetcher=dataclasses.replace(config.prefetcher, skipless=True)
+    )
+    return System(config, MIX2, seed=5, backend=backend)
+
+
+def _skipless_fdp(backend: str) -> SimResult:
+    return _skipless_fdp_system(backend).run(3_000)
+
+
+def _wide_streams_system(backend: str) -> System:
+    config = baseline_config(num_cores=4, policy="padc")
+    config = dataclasses.replace(
+        config,
+        prefetcher=dataclasses.replace(config.prefetcher, degree=8, distance=128),
+    )
+    return System(config, MIX4, seed=3, backend=backend)
+
+
+def _wide_streams(backend: str) -> SimResult:
+    return _wide_streams_system(backend).run(1_500)
+
+
+def _l2_resident_system(backend: str) -> System:
+    config = baseline_config(num_cores=4, policy="demand-first")
+    return System(config, L2_RESIDENT, seed=7, backend=backend)
+
+
+def _l2_resident(backend: str) -> SimResult:
+    return _l2_resident_system(backend).run(2_000)
+
+
 CASES: Dict[str, Callable[[str], SimResult]] = {
     **{f"fuzz-{seed}": _fuzz(seed) for seed in FUZZ_SEEDS},
     "closed-row-padc-rank": _closed_row_padc_rank,
@@ -99,6 +147,9 @@ CASES: Dict[str, Callable[[str], SimResult]] = {
     "telemetry-service-times": _telemetry_service_times,
     "eight-core-padc-rank": _eight_core_padc_rank,
     "eight-core-aps-rank-2ch": _eight_core_aps_rank_2ch,
+    "skipless-fdp": _skipless_fdp,
+    "wide-streams": _wide_streams,
+    "l2-resident": _l2_resident,
 }
 
 
@@ -135,6 +186,45 @@ class TestExtraCasesExerciseTheirPath:
     def test_eight_core_rank_run_crosses_two_intervals(self):
         result = _eight_core_padc_rank(BACKENDS[0])
         assert all(len(par) >= 2 for par in result.accuracy_history)
+
+    def test_skipless_fdp_rewinds_and_sets_aggressiveness(self):
+        system = _skipless_fdp_system(BACKENDS[0])
+        calls = {"rewind": 0, "set_aggressiveness": 0}
+        for prefetcher in system._prefetchers:
+            for name in calls:
+
+                def counted(*args, _name=name, _inner=getattr(prefetcher, name)):
+                    calls[_name] += 1
+                    _inner(*args)
+
+                setattr(prefetcher, name, counted)
+        system.run(3_000)
+        assert calls["rewind"] > 1_000
+        assert calls["set_aggressiveness"] >= 2
+
+    def test_wide_streams_span_three_buckets(self):
+        system = _wide_streams_system(BACKENDS[0])
+        result = system.run(1_500)
+        assert sum(core.pf_sent for core in result.cores) > 0
+        windows = [
+            (entry.lo, entry.hi)
+            for prefetcher in system._prefetchers
+            for entry in prefetcher.entries
+            if entry.direction
+        ]
+        assert windows and all(hi - lo == 128 for lo, hi in windows)
+        assert any((hi >> 6) - (lo >> 6) == 2 for lo, hi in windows)
+
+    def test_l2_resident_run_fills_every_stream_table(self):
+        system = _l2_resident_system(BACKENDS[0])
+        result = system.run(2_000)
+        hits = sum(core.l2_hits for core in result.cores)
+        misses = sum(core.l2_misses for core in result.cores)
+        assert hits > 2 * misses
+        assert all(
+            len(prefetcher.entries) == prefetcher.num_streams
+            for prefetcher in system._prefetchers
+        )
 
 
 def _regenerate() -> None:
