@@ -15,49 +15,40 @@ The degree/distance pair is mutable so that FDP (paper §6.12) can throttle
 the aggressiveness at interval boundaries.
 
 Hot-path layout (DESIGN.md §15): every entry carries a *normalized*
-match interval ``[lo, hi]`` maintained at the handful of mutation sites
-(allocate, train, trigger, rewind).  The match scan in ``on_access`` —
-one run over up to ``num_streams`` entries per L2 access — then reduces
-to a single range compare per entry, with no state branch and no
-low/high swap for descending streams.  ``mon_end`` is the region's
-directed leading edge, the point the next batch of prefetches starts
-from.
+match window ``[lo, hi]`` — the training window while allocated, the
+monitoring region once a direction is known — so a match is one range
+compare whatever the state or direction.  The region's leading edge is
+``hi`` for an ascending stream and ``lo`` for a descending one.  The
+table is indexed by 64-line bucket: ``_buckets`` maps ``line >> 6`` to
+the entries whose window overlaps that bucket, each list in allocation
+order, so ``on_access`` scans the few entries near the line instead of
+the whole table and still finds the first match in allocation order
+(windows may overlap, and which one matches decides what trains).  The
+index is kept at the mutation sites: allocation and eviction, training,
+a trigger whose window crosses a bucket boundary, and rewind.  Recency
+lives in an ``OrderedDict`` (least recently used first), so allocation
+finds its victim without scanning the table.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import OrderedDict
+from typing import Dict, List, Optional
 
 from repro.prefetch.base import Prefetcher
 
-_ALLOCATED = 0
-_MONITORING = 1
+# A window [lo, hi] is filed under every bucket from lo >> 6 to hi >> 6.
+_BUCKET_BITS = 6
 
 
 class StreamEntry:
-    """One tracked stream."""
+    """One tracked stream; ``direction`` is 0 until it has trained.
 
-    __slots__ = (
-        "state",
-        "start",
-        "direction",
-        "mon_end",
-        "last_use",
-        "lo",
-        "hi",
-    )
+    ``order`` counts allocations: it ranks entries whose windows overlap.
+    The prefetcher sets every field when it (re)allocates the entry.
+    """
 
-    def __init__(self, start: int, now_tick: int, train_distance: int = 0):
-        self.state = _ALLOCATED
-        self.start = start
-        self.direction = 0
-        self.mon_end = start
-        self.last_use = now_tick
-        # Normalized match window: while allocated, an access within
-        # train_distance of S trains the stream; while monitoring, the
-        # window is the (direction-normalized) monitoring region.
-        self.lo = start - train_distance
-        self.hi = start + train_distance
+    __slots__ = ("start", "direction", "lo", "hi", "order")
 
 
 class StreamPrefetcher(Prefetcher):
@@ -76,9 +67,16 @@ class StreamPrefetcher(Prefetcher):
         self.degree = degree
         self.distance = distance
         self.train_distance = train_distance
-        self.entries: List[StreamEntry] = []
-        self._tick = 0
+        self._buckets: Dict[int, List[StreamEntry]] = {}
+        # Every live entry, least recently matched or allocated first.
+        self._lru: "OrderedDict[StreamEntry, None]" = OrderedDict()
+        self._allocated = 0
         self._last_triggered: Optional[StreamEntry] = None
+
+    @property
+    def entries(self) -> List[StreamEntry]:
+        """The live entries in allocation order."""
+        return sorted(self._lru, key=lambda entry: entry.order)
 
     def set_aggressiveness(self, degree: int, distance: int) -> None:
         """Used by FDP to throttle/boost the prefetcher."""
@@ -86,70 +84,119 @@ class StreamPrefetcher(Prefetcher):
         self.distance = distance
 
     def _allocate(self, line_addr: int) -> None:
-        entries = self.entries
-        if len(entries) >= self.num_streams:
-            # LRU victim by manual scan: min(entries, key=lambda ...) pays
-            # a lambda call per entry on every allocation.
-            victim = entries[0]
-            best = victim.last_use
-            for entry in entries:
-                last_use = entry.last_use
-                if last_use < best:
-                    best = last_use
-                    victim = entry
-            entries.remove(victim)
-        entries.append(StreamEntry(line_addr, self._tick, self.train_distance))
+        lru = self._lru
+        buckets = self._buckets
+        if len(lru) >= self.num_streams:
+            # The least recently used entry is evicted, and its object
+            # reused for the new stream.
+            entry = next(iter(lru))
+            lru.move_to_end(entry)
+            if entry is self._last_triggered:
+                self._last_triggered = None
+            last = entry.hi >> _BUCKET_BITS
+            for key in range(entry.lo >> _BUCKET_BITS, last + 1):
+                bucket = buckets[key]
+                bucket.remove(entry)
+                if not bucket:
+                    del buckets[key]
+        else:
+            entry = StreamEntry()
+            lru[entry] = None
+        self._allocated += 1
+        entry.order = self._allocated
+        entry.start = line_addr
+        entry.direction = 0
+        entry.lo = lo = line_addr - self.train_distance
+        entry.hi = hi = line_addr + self.train_distance
+        # The newest entry goes last in every bucket it overlaps.
+        for key in range(lo >> _BUCKET_BITS, (hi >> _BUCKET_BITS) + 1):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [entry]
+            else:
+                bucket.append(entry)
+
+    def _move(self, entry: StreamEntry, lo: int, hi: int) -> None:
+        """Set the entry's window to ``[lo, hi]`` and re-file it by bucket."""
+        old = range(entry.lo >> _BUCKET_BITS, (entry.hi >> _BUCKET_BITS) + 1)
+        new = range(lo >> _BUCKET_BITS, (hi >> _BUCKET_BITS) + 1)
+        entry.lo = lo
+        entry.hi = hi
+        buckets = self._buckets
+        for key in old:
+            if key not in new:
+                bucket = buckets[key]
+                bucket.remove(entry)
+                if not bucket:
+                    del buckets[key]
+        order = entry.order
+        for key in new:
+            if key in old:
+                continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [entry]
+            elif bucket[-1].order < order:
+                bucket.append(entry)
+            else:
+                # An older entry than some already filed here: insert it
+                # before the first newer one, keeping allocation order.
+                index = 0
+                while bucket[index].order < order:
+                    index += 1
+                bucket.insert(index, entry)
 
     def on_access(self, line_addr, was_hit, pc=0, allocate=True) -> List[int]:
-        self._tick = tick = self._tick + 1
-        # First match wins (regions may overlap), in allocation order —
-        # the normalized lo/hi window makes this a single compare per
-        # entry regardless of state or direction.
-        for entry in self.entries:
-            if entry.lo <= line_addr <= entry.hi:
-                break
-        else:
+        # First match in allocation order wins: the bucket's list holds
+        # every window that contains the line, in that order.
+        bucket = self._buckets.get(line_addr >> _BUCKET_BITS)
+        if bucket is not None:
+            for entry in bucket:
+                if entry.lo <= line_addr <= entry.hi:
+                    break
+            else:
+                bucket = None
+        if bucket is None:
             # Only a demand *miss* outside all streams allocates (§2.3); the
             # only-train policy additionally suppresses allocation (§6.14).
             if not was_hit and allocate:
                 self._allocate(line_addr)
             return []
-        entry.last_use = tick
-        if entry.state == _ALLOCATED:
-            if line_addr == entry.start:
-                return []
-            start = entry.start
-            direction = 1 if line_addr > start else -1
-            end = start + self.distance * direction
-            entry.direction = direction
-            entry.mon_end = end
-            entry.state = _MONITORING
-            if direction > 0:
-                entry.lo = start
-                entry.hi = end
-            else:
-                entry.lo = end
-                entry.hi = start
-            return []
-        # Monitoring: issue degree prefetches past the leading edge, then
-        # shift the monitoring region forward by the same amount.
+        self._lru.move_to_end(entry)
         direction = entry.direction
-        edge = entry.mon_end
-        degree = self.degree
-        shift = degree * direction
-        entry.mon_end = edge + shift
-        entry.lo += shift
-        entry.hi += shift
-        self._last_triggered = entry
-        if direction > 0:
-            # Ascending streams (the common case) build the batch at C
-            # speed; negative addresses are unreachable going up.
-            return list(range(edge + 1, edge + degree + 1))
-        return [
-            address
-            for address in range(edge - 1, edge - degree - 1, -1)
-            if address >= 0
-        ]
+        if direction:
+            # Monitoring: issue degree prefetches past the leading edge,
+            # then shift the region forward by the same amount.  The
+            # window is re-filed only when an end crosses a bucket
+            # boundary (about one trigger in 32/degree).
+            self._last_triggered = entry
+            degree = self.degree
+            lo = entry.lo
+            hi = entry.hi
+            shift = degree * direction
+            new_lo = lo + shift
+            new_hi = hi + shift
+            if not ((new_lo ^ lo) | (new_hi ^ hi)) >> _BUCKET_BITS:
+                entry.lo = new_lo
+                entry.hi = new_hi
+            else:
+                self._move(entry, new_lo, new_hi)
+            if direction > 0:
+                return list(range(hi + 1, new_hi + 1))
+            # Descending: the batch stops at line 0.
+            return list(range(lo - 1, max(new_lo, 0) - 1, -1))
+        start = entry.start
+        if line_addr == start:
+            return []
+        # Training: the second access fixes the direction, and the window
+        # becomes the monitoring region [S, S + D·dir].
+        if line_addr > start:
+            entry.direction = 1
+            self._move(entry, start, start + self.distance)
+        else:
+            entry.direction = -1
+            self._move(entry, start - self.distance, start)
+        return []
 
     def rewind(self, count: int) -> None:
         """Roll the last triggered stream back ``count`` lines.
@@ -159,11 +206,10 @@ class StreamPrefetcher(Prefetcher):
         region retreats so the same lines are re-attempted on the next
         trigger rather than skipped (which would permanently lose
         coverage, the effect paper §6.1 attributes to full buffers).
+        An evicted stream is no longer tracked, so it is not rewound.
         """
         entry = self._last_triggered
-        if entry is None or count <= 0 or entry.state != _MONITORING:
+        if entry is None or count <= 0:
             return
         retreat = min(count, self.degree) * entry.direction
-        entry.mon_end -= retreat
-        entry.lo -= retreat
-        entry.hi -= retreat
+        self._move(entry, entry.lo - retreat, entry.hi - retreat)
