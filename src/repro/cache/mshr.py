@@ -16,23 +16,12 @@ from repro.controller.request import MemRequest
 class MSHREntry:
     """One in-flight miss: the memory request plus waiting cores."""
 
-    __slots__ = (
-        "line_addr",
-        "request",
-        "waiters",
-        "was_prefetch",
-        "promoted_late",
-        "dirty_on_fill",
-    )
+    __slots__ = ("line_addr", "request", "waiters", "dirty_on_fill")
 
     def __init__(self, line_addr: int, request: MemRequest):
         self.line_addr = line_addr
         self.request = request
         self.waiters: List[int] = []
-        self.was_prefetch = request.is_prefetch
-        # True when a demand matched this prefetch while in flight — the
-        # prefetch was useful but *late* (used by FDP's lateness metric).
-        self.promoted_late = False
         # A store merged into this miss: the line fills dirty
         # (write-allocate) and writes back to DRAM on eviction.
         self.dirty_on_fill = False

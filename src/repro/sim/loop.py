@@ -342,7 +342,6 @@ def run_loop(
                     # already left the request buffer).
                     request.promote()
                     note_promotion(request)
-                    mshr_entry.promoted_late = True
                     count_useful(request.core_id, line, None, True)
                 if is_write:
                     mshr_entry.dirty_on_fill = True

@@ -57,8 +57,7 @@ class TestEntrySemantics:
     def test_entry_records_prefetch_origin(self):
         mshr = MSHR(4)
         entry = mshr.allocate(1, request(1, is_prefetch=True))
-        assert entry.was_prefetch
-        assert not entry.promoted_late
+        assert entry.request.is_prefetch
         assert entry.waiters == []
 
     def test_waiters_accumulate(self):
