@@ -33,7 +33,15 @@ from repro.params import SystemConfig, resolve_backend
 from repro.prefetch.base import make_prefetcher
 from repro.prefetch.ddpf import DDPFFilter
 from repro.prefetch.fdp import FDPController
-from repro.sim.loop import _INTERVAL, _REFRESH, _RETRY, _TICK, run_loop
+from repro.sim.loop import (
+    _CORE,
+    _FILL,
+    _INTERVAL,
+    _REFRESH,
+    _RETRY,
+    _TICK,
+    run_loop,
+)
 from repro.sim.results import CoreResult, SimResult
 from repro.telemetry.collector import NoopCollector, as_collector
 from repro.validate.checker import InvariantChecker, check_enabled
@@ -290,7 +298,29 @@ class System:
                 fdp.adjust()
         self.telemetry.on_interval_post(self, now)
         if self._active_cores > 0:
+            self._check_progress(now)
             self._push(now + self.tracker.interval, _INTERVAL, None)
+
+    def _check_progress(self, now: int) -> None:
+        """Raise if no active core can ever run again.
+
+        A core waits for its next access (``CORE``), a free MSHR entry
+        (``RETRY``) or a fill (``FILL``), and a fill can only come from a
+        request the engine holds.  With none of these left, the interval
+        and refresh events would re-arm until ``max_cycles``.
+        """
+        if any(event[2] in (_CORE, _RETRY, _FILL) for event in self._heap):
+            return
+        engine = self.engine
+        for channel in range(self.config.dram.num_channels):
+            if engine.occupancy(channel) or engine.overflow_requests(channel):
+                return
+        stalled = [core.core_id for core in self.cores if not core.done]
+        raise RuntimeError(
+            f"cores {stalled} are stalled with nothing in flight at cycle {now}: "
+            "no core, retry or fill event is pending and the controller holds "
+            "no request"
+        )
 
     # -- results --------------------------------------------------------------------
 

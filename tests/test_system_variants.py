@@ -6,6 +6,7 @@ import pytest
 
 from repro.params import baseline_config
 from repro.sim import simulate
+from repro.sim.system import System
 from repro.telemetry.collector import NoopCollector
 from repro.workloads import BenchmarkProfile, get_profile
 
@@ -138,7 +139,30 @@ class _EvictCleanLines(NoopCollector):
                 self.evicted += 1
 
 
+class _PhantomMiss(NoopCollector):
+    """At the first interval end, records a demand miss of core 0 that no
+    request will ever fill, old enough to stall the core at once."""
+
+    def __init__(self):
+        self.planted = False
+
+    def on_interval_post(self, system, now):
+        if not self.planted:
+            core = system.cores[0]
+            core.outstanding_demand[-1] = core.instructions_issued - 10**9
+            self.planted = True
+
+
 class TestFailureInjection:
+    def test_stalled_core_with_nothing_in_flight_is_an_error(self):
+        """A core no event can wake ends the run with an error, not at max_cycles."""
+        config = baseline_config(1, policy="padc")
+        config = replace(config, padc=replace(config.padc, accuracy_interval=5_000))
+        system = System(config, ["eon_00"], telemetry=_PhantomMiss())
+        with pytest.raises(RuntimeError, match=r"cores \[0\] are stalled .* cycle \d+"):
+            system.run(100_000, max_cycles=20_000_000)
+        assert system._now < 20_000_000
+
     def test_cache_invalidation_mid_run_recovers(self):
         """Lines evicted behind the loop's back mid-run are re-fetched."""
         config = baseline_config(1, policy="padc")
