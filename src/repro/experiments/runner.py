@@ -5,8 +5,8 @@
 * :class:`ExperimentResult` — id, title, rows (list of dicts) and notes,
   with an ASCII table renderer.
 * :func:`run_policies` / :func:`run_configs` / :func:`alone_ipc` /
-  :func:`alone_ipcs` — memoized simulation helpers (the paper measures
-  IPC_alone with the demand-first policy, §5.2).
+  :func:`alone_ipcs` — simulation helpers (the paper measures IPC_alone
+  with the demand-first policy, §5.2).
 
 Figures that average random multiprogrammed mixes (9, 16, 17, 19-24,
 26-32) run as campaigns through
@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import api
 from repro.metrics import harmonic_speedup, unfairness, weighted_speedup
 from repro.params import SystemConfig, baseline_config
-from repro.runtime import SimJob, config_fingerprint
+from repro.runtime import SimJob
 from repro.sim import SimResult
 
 DEFAULT_POLICIES = (
@@ -166,11 +166,7 @@ def run_experiment(name: str, scale: Optional[Scale] = None) -> ExperimentResult
     return REGISTRY[name](scale or Scale.from_env())
 
 
-# -- memoized simulation helpers ---------------------------------------------
-
-# In-process memo of alone IPCs, layered over the disk cache: repeated
-# alone_ipc calls within one run skip even the cache-file read.
-_ALONE_CACHE: Dict = {}
+# -- simulation helpers ------------------------------------------------------
 
 
 def alone_ipc(
@@ -181,8 +177,7 @@ def alone_ipc(
 ) -> float:
     """IPC of ``benchmark`` running alone (demand-first policy, §5.2).
 
-    ``benchmark`` is a profile name or a BenchmarkProfile (profiles are
-    frozen/hashable, so both memoize).
+    ``benchmark`` is a profile name or a BenchmarkProfile.
     """
     return alone_ipcs([benchmark], accesses, config=config, seed=seed)[0]
 
@@ -196,40 +191,18 @@ def alone_ipcs(
     """Alone IPCs for a whole mix, submitted as one parallel batch.
 
     Benchmark ``i`` runs with ``seed + i``, matching the seeds its
-    multiprogrammed counterpart uses in :func:`speedup_metrics`.
+    multiprogrammed counterpart uses in :func:`speedup_metrics`.  The
+    runtime computes a job repeated within the batch once; with the
+    result cache on, a later batch reads it back.
     """
     base = config or baseline_config(1, policy="demand-first")
     if base.num_cores != 1:
         raise ValueError("alone_ipc requires a single-core config")
-    keys = [
-        (benchmark, accesses, seed + index, _config_key(config))
+    jobs = [
+        SimJob.make(base, [benchmark], accesses, seed=seed + index)
         for index, benchmark in enumerate(benchmarks)
     ]
-    missing = [
-        (index, benchmark)
-        for index, benchmark in enumerate(benchmarks)
-        if keys[index] not in _ALONE_CACHE
-    ]
-    if missing:
-        jobs = [
-            SimJob.make(base, [benchmark], accesses, seed=seed + index)
-            for index, benchmark in missing
-        ]
-        for (index, _), result in zip(missing, api.submit_many(jobs)):
-            _ALONE_CACHE[keys[index]] = result.cores[0].ipc
-    return [_ALONE_CACHE[key] for key in keys]
-
-
-def _config_key(config: Optional[SystemConfig]):
-    """Memo key component for a config: a hash of *every* field.
-
-    The old implementation enumerated a hand-picked tuple of fields and
-    silently collided on anything outside it (dram.banks_per_channel,
-    APD drop thresholds, ...); the full content hash cannot.
-    """
-    if config is None:
-        return None
-    return config_fingerprint(config)
+    return [result.cores[0].ipc for result in api.submit_many(jobs)]
 
 
 def run_policies(

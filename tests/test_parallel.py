@@ -14,12 +14,7 @@ import pytest
 from repro import api, runtime, sim
 from repro.campaign import CampaignError, CampaignSpec
 from repro.experiments import Scale, run_experiment
-from repro.experiments.runner import (
-    _ALONE_CACHE,
-    alone_ipcs,
-    run_policies,
-    speedup_metrics,
-)
+from repro.experiments.runner import alone_ipcs, run_policies, speedup_metrics
 from repro.params import baseline_config
 from repro.runtime import JobExecutionError, Runtime, SimJob, execute_job, job_summary
 
@@ -30,8 +25,7 @@ SEED = 3
 
 
 def _run_and_measure():
-    """One run_policies sweep plus its WS/HS/UF, from a clean alone-memo."""
-    _ALONE_CACHE.clear()
+    """One run_policies sweep plus its WS/HS/UF."""
     runs = run_policies(MIX, ACCESSES, policies=POLICIES, seed=SEED)
     metrics = {
         policy: speedup_metrics(runs[policy], MIX, ACCESSES, seed=SEED)
@@ -63,10 +57,8 @@ class TestSerialParallelEquivalence:
 
     def test_alone_ipcs_match_serial(self, tmp_path, serial_reference):
         runtime.configure(jobs=1, cache_enabled=False)
-        _ALONE_CACHE.clear()
         reference = alone_ipcs(MIX, ACCESSES, seed=SEED)
         runtime.configure(jobs=2, cache_dir=str(tmp_path / "cache"))
-        _ALONE_CACHE.clear()
         assert alone_ipcs(MIX, ACCESSES, seed=SEED) == reference
 
 
@@ -103,10 +95,8 @@ class TestWarmCacheSkipsSimulation:
 
     def test_experiment_warm_rerun_is_simulation_free(self, tmp_path, monkeypatch):
         runtime.configure(jobs=2, cache_dir=str(tmp_path / "cache"))
-        _ALONE_CACHE.clear()
         cold = run_experiment("fig09", MICRO)
         calls = _counting(monkeypatch)
-        _ALONE_CACHE.clear()
         warm = run_experiment("fig09", MICRO)
         assert calls == []
         assert warm.rows == cold.rows

@@ -3,11 +3,10 @@
 import dataclasses
 from dataclasses import replace
 
+from repro import sim
 from repro.experiments.runner import (
     SCALES,
     Scale,
-    _ALONE_CACHE,
-    _config_key,
     alone_ipc,
     alone_ipcs,
     average,
@@ -15,14 +14,28 @@ from repro.experiments.runner import (
     speedup_metrics,
 )
 from repro.params import baseline_config
+from repro.runtime import config_fingerprint
+
+
+def _count_simulations(monkeypatch):
+    calls = []
+    real = sim.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate", counting)
+    return calls
 
 
 class TestAloneIPC:
-    def test_memoization(self):
-        _ALONE_CACHE.clear()
+    def test_memoization(self, monkeypatch):
+        # The result store answers a repeated alone run.
+        calls = _count_simulations(monkeypatch)
         first = alone_ipc("swim", 600, seed=1)
-        assert ("swim", 600, 1, None) in _ALONE_CACHE
         assert alone_ipc("swim", 600, seed=1) == first
+        assert len(calls) == 1
 
     def test_profile_objects_memoize(self):
         from repro.workloads import get_profile
@@ -30,14 +43,14 @@ class TestAloneIPC:
         profile = get_profile("swim")
         assert alone_ipc(profile, 600, seed=1) == alone_ipc(profile, 600, seed=1)
 
-    def test_custom_config_keyed_separately(self):
+    def test_custom_config_keyed_separately(self, monkeypatch):
+        calls = _count_simulations(monkeypatch)
         small = baseline_config(1, policy="demand-first", cache_kb_per_core=256)
         default = alone_ipc("galgel", 600, seed=2)
         with_small_cache = alone_ipc("galgel", 600, config=small, seed=2)
-        # Different cache sizes are distinct cache entries (values may
-        # coincide, but both keys must exist).
-        keys = [key for key in _ALONE_CACHE if key[0] == "galgel"]
-        assert len(keys) >= 2
+        # Different cache sizes are distinct jobs (values may coincide,
+        # but each config runs its own simulation).
+        assert len(calls) == 2
         assert default > 0 and with_small_cache > 0
 
     def test_rejects_multicore_config(self):
@@ -85,15 +98,12 @@ class TestScales:
 
 
 class TestConfigKey:
-    """The memo key must cover *every* config field (regression).
+    """An alone IPC must answer for *every* config field (regression).
 
-    The old ``_config_key`` enumerated eight hand-picked fields; configs
-    differing only in anything else — ``dram.banks_per_channel``, the APD
-    drop thresholds — silently shared one ``alone_ipc`` cache entry.
+    An old in-process memo keyed alone IPCs by eight hand-picked fields;
+    configs differing only in anything else — ``dram.banks_per_channel``,
+    the APD drop thresholds — silently shared one entry.
     """
-
-    def test_none_config_keys_as_none(self):
-        assert _config_key(None) is None
 
     def test_distinguishes_fields_outside_the_old_tuple(self):
         base = baseline_config(1)
@@ -103,17 +113,18 @@ class TestConfigKey:
         eager_drop = replace(
             base, padc=replace(base.padc, drop_thresholds=((1.01, 10),))
         )
-        keys = {_config_key(base), _config_key(fewer_banks), _config_key(eager_drop)}
+        keys = {
+            config_fingerprint(config) for config in (base, fewer_banks, eager_drop)
+        }
         assert len(keys) == 3
 
     def test_alone_ipc_entries_no_longer_collide(self):
-        _ALONE_CACHE.clear()
         base = baseline_config(1, policy="demand-first")
         fewer_banks = replace(base, dram=replace(base.dram, banks_per_channel=2))
         default = alone_ipc("swim", 400, config=base, seed=3)
         varied = alone_ipc("swim", 400, config=fewer_banks, seed=3)
         # Under the old key both calls would have hit one entry (and
-        # returned the same IPC by construction); now each config gets
-        # its own entry and its own simulation.
-        assert len([key for key in _ALONE_CACHE if key[0] == "swim"]) == 2
+        # returned the same IPC by construction); each config must give
+        # the IPC of its own simulation.
+        assert varied == sim.simulate(fewer_banks, ["swim"], 400, seed=3).ipc()
         assert default != varied
