@@ -8,43 +8,23 @@ calibrated results do not include it; enabling it costs a few percent of
 bandwidth and sprinkles extra row-closed accesses, which the tests
 exercise.
 
-Timings default to DDR3 values at the 4 GHz model clock:
-tREFI = 7.8 us = 31,200 cycles, tRFC = 160 ns = 640 cycles.
+The timings are ``DRAMConfig``'s ``refresh_interval`` and
+``refresh_cycles``, which default to DDR3 values at the 4 GHz model
+clock: tREFI = 7.8 us = 31,200 cycles, tRFC = 160 ns = 640 cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.dram.channel import Channel
-
-
-@dataclass(frozen=True)
-class RefreshConfig:
-    """Auto-refresh parameters (disabled by default, like the paper)."""
-
-    enabled: bool = False
-    interval: int = 31_200
-    cycles: int = 640
+from repro.params import DRAMConfig
 
 
 class RefreshScheduler:
-    """Issues all-bank refreshes on a channel every ``interval`` cycles."""
+    """Issues all-bank refreshes on a channel every ``refresh_interval`` cycles."""
 
-    def __init__(self, config: RefreshConfig):
+    def __init__(self, config: DRAMConfig):
         self.config = config
         self.refreshes_issued = 0
-
-    @classmethod
-    def from_dram_config(cls, dram_config) -> "RefreshScheduler":
-        """Build from a :class:`repro.params.DRAMConfig`."""
-        return cls(
-            RefreshConfig(
-                enabled=dram_config.refresh_enabled,
-                interval=dram_config.refresh_interval,
-                cycles=dram_config.refresh_cycles,
-            )
-        )
 
     def next_refresh_after(self, now: int) -> int:
         """The first refresh boundary strictly after ``now``.
@@ -55,7 +35,7 @@ class RefreshScheduler:
         refresh scheme would also need a new event source in
         ``sim/loop.py``.
         """
-        interval = self.config.interval
+        interval = self.config.refresh_interval
         return ((now // interval) + 1) * interval
 
     def apply(self, channel: Channel, now: int) -> int:
@@ -65,7 +45,7 @@ class RefreshScheduler:
         refresh precharges all banks).  Returns the cycle at which the
         channel's banks become available again.
         """
-        done = now + self.config.cycles
+        done = now + self.config.refresh_cycles
         for bank in channel.banks:
             bank.busy_until = max(bank.busy_until, done)
             bank.precharge()

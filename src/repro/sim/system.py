@@ -180,8 +180,7 @@ class System:
             {} for _ in range(config.num_cores)
         ]
         self._refresh: List[RefreshScheduler] = [
-            RefreshScheduler.from_dram_config(config.dram)
-            for _ in range(config.dram.num_channels)
+            RefreshScheduler(config.dram) for _ in range(config.dram.num_channels)
         ]
         # Checked mode: audit conservation laws at interval boundaries and
         # end-of-sim.  ``check=None`` defers to the $REPRO_CHECK knob.

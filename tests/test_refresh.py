@@ -3,20 +3,26 @@
 from dataclasses import replace
 
 from repro.dram.channel import Channel
-from repro.dram.refresh import RefreshConfig, RefreshScheduler
+from repro.dram.refresh import RefreshScheduler
 from repro.params import DRAMConfig, baseline_config
 from repro.sim import simulate
 
 
+def make_scheduler(interval, cycles):
+    return RefreshScheduler(
+        DRAMConfig(refresh_interval=interval, refresh_cycles=cycles)
+    )
+
+
 class TestRefreshScheduler:
     def test_next_refresh_boundary(self):
-        scheduler = RefreshScheduler(RefreshConfig(interval=1000, cycles=50))
+        scheduler = make_scheduler(1000, 50)
         assert scheduler.next_refresh_after(0) == 1000
         assert scheduler.next_refresh_after(999) == 1000
         assert scheduler.next_refresh_after(1000) == 2000
 
     def test_apply_occupies_banks_and_closes_rows(self):
-        scheduler = RefreshScheduler(RefreshConfig(interval=1000, cycles=50))
+        scheduler = make_scheduler(1000, 50)
         channel = Channel(DRAMConfig())
         channel.service(0, row=3, now=0)
         done = scheduler.apply(channel, now=100)
@@ -26,7 +32,7 @@ class TestRefreshScheduler:
         assert scheduler.refreshes_issued == 1
 
     def test_apply_does_not_shorten_busier_banks(self):
-        scheduler = RefreshScheduler(RefreshConfig(interval=1000, cycles=10))
+        scheduler = make_scheduler(1000, 10)
         channel = Channel(DRAMConfig())
         channel.banks[0].busy_until = 500
         scheduler.apply(channel, now=100)
@@ -34,7 +40,7 @@ class TestRefreshScheduler:
 
     def test_bandwidth_overhead(self):
         """Refresh holds the banks tRFC of every tREFI: ~2% for DDR3."""
-        scheduler = RefreshScheduler(RefreshConfig(interval=31_200, cycles=640))
+        scheduler = RefreshScheduler(DRAMConfig())
         channel = Channel(DRAMConfig())
         now = busy = 0
         for _ in range(10):
@@ -45,10 +51,10 @@ class TestRefreshScheduler:
         assert 0.02 < busy / now < 0.025
 
     def test_from_dram_config(self):
-        dram = DRAMConfig(refresh_enabled=True, refresh_interval=123, refresh_cycles=7)
-        scheduler = RefreshScheduler.from_dram_config(dram)
-        assert scheduler.config.interval == 123
-        assert scheduler.config.cycles == 7
+        dram = DRAMConfig(refresh_interval=123, refresh_cycles=7)
+        scheduler = RefreshScheduler(dram)
+        assert scheduler.next_refresh_after(0) == 123
+        assert scheduler.apply(Channel(DRAMConfig()), now=123) == 130
 
 
 class TestRefreshInSystem:
