@@ -29,17 +29,14 @@ class Channel:
         # utilization series.
         self.bus_busy_cycles: int = 0
         # Hoisted timing constants for the service hot path: precomputed
-        # (row_buffer_state, pre-burst work) pairs per access outcome.
+        # (row_buffer_state, pre-burst work) pairs per access outcome, and
+        # the CL that follows the burst.
         timings = config.timings
         self._burst = timings.burst
-        self._post_burst = timings.cl if timings.pipelined_cas else 0
-        hit_work = 0 if timings.pipelined_cas else timings.cl
-        self._hit = (RowBufferState.HIT, hit_work)
-        self._closed = (RowBufferState.CLOSED, timings.t_rcd + hit_work)
-        self._conflict = (
-            RowBufferState.CONFLICT,
-            timings.t_rp + timings.t_rcd + hit_work,
-        )
+        self._post_burst = timings.cl
+        self._hit = (RowBufferState.HIT, 0)
+        self._closed = (RowBufferState.CLOSED, timings.t_rcd)
+        self._conflict = (RowBufferState.CONFLICT, timings.t_rp + timings.t_rcd)
 
     def service(self, bank_idx: int, row: int, now: int) -> Tuple[RowBufferState, int]:
         """Service one request on ``bank_idx`` starting at ``now``.
@@ -55,13 +52,14 @@ class Channel:
         flag the event backend as divergent.
 
         Timing model (paper §2.1 / footnote 4): the bank is occupied for
-        the full command sequence — CL for a row-hit, tRCD+CL row-closed,
-        tRP+tRCD+CL row-conflict — and then for its data burst on the
-        shared bus.  A single bank therefore delivers at most one line
-        per row-hit latency (the paper's "highest throughput the DRAM
-        bank can deliver"); the data bus needs several banks in flight to
-        saturate.  Row-hit batching still pays because hits occupy the
-        bank for roughly a third of a conflict.
+        its row commands — none for a row-hit, tRCD row-closed, tRP+tRCD
+        row-conflict — and then for its data burst on the shared bus.
+        The column access pipelines with earlier bursts: CL follows the
+        burst and does not hold the bank, so a row-hit holds the bank
+        for one burst and back-to-back hits to an open row stream at bus
+        rate.  An isolated access completes one command sequence (CL,
+        tRCD+CL or tRP+tRCD+CL: the paper's 1:2:3 ratio) plus one burst
+        after it starts.
         """
         bank = self.banks[bank_idx]
         if bank.busy_until > now:

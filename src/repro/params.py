@@ -22,18 +22,16 @@ class DRAMTimings:
     occupies the data bus for 3 ns = 12 cycles.  An access that hits the
     open row needs CL, one to a precharged bank tRCD + CL, and one that
     conflicts with the open row tRP + tRCD + CL: the paper's 1:2:3
-    latency ratio (§2.1), applied by ``Channel.service``.
+    latency ratio (§2.1), applied by ``Channel.service``.  Column
+    accesses pipeline with earlier bursts, so a bank with an open row
+    streams at full bus rate: this is what makes row-buffer locality
+    worth fighting for.
     """
 
     t_rp: int = 60
     t_rcd: int = 60
     cl: int = 60
     burst: int = 12
-    # True (default, DDR3-faithful): column accesses pipeline with earlier
-    # bursts, so a bank with an open row streams at full bus rate — this
-    # is what makes row-buffer locality worth fighting for.  False: the
-    # column access serializes per bank (one line per CL per bank).
-    pipelined_cas: bool = True
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class CacheConfig:
     size_bytes: int = 512 * 1024
     associativity: int = 8
     line_bytes: int = 64
-    hit_latency: int = 15
     mshr_entries: int = 32
     shared: bool = False
 
@@ -97,7 +94,10 @@ class PrefetcherConfig:
     ``kind`` is one of ``"stream"``, ``"stride"``, ``"cdc"``, ``"markov"``
     or ``"none"``.  ``filter_kind`` optionally layers a prefetch filter:
     ``"ddpf"`` (dynamic data prefetch filtering) or ``"fdp"``
-    (feedback-directed throttling).
+    (feedback-directed throttling).  A candidate that finds the MSHRs or
+    the request buffer full is dropped, as in the paper's prefetcher
+    (§6.1): that lost coverage is what rigid demand-first scheduling
+    pays.
     """
 
     kind: str = "stream"
@@ -105,11 +105,6 @@ class PrefetcherConfig:
     degree: int = 4
     distance: int = 64
     filter_kind: Optional[str] = None
-    # When True, stream prefetches rejected by a full MSHR/request buffer
-    # are re-attempted on the next trigger (skip-less pointer).  The
-    # paper's prefetcher drops them permanently (§6.1), which is what
-    # makes rigid demand-first scheduling lose prefetch coverage.
-    skipless: bool = False
 
     @property
     def enabled(self) -> bool:
@@ -238,8 +233,9 @@ def resolve_policy(name: str) -> PolicyEntry:
 class SystemConfig:
     """Full system: cores, caches, prefetchers, DRAM, scheduling policy.
 
-    ``policy`` is one of ``"demand-first"``, ``"demand-prefetch-equal"``,
-    ``"prefetch-first"``, ``"aps"`` or ``"padc"`` (= APS + APD).
+    ``policy`` is a canonical scheduler name of :data:`POLICY_TABLE`
+    (an entry's ``policy``, e.g. ``"demand-first"`` or ``"padc"``, which
+    is APS + APD); :meth:`with_policy` also resolves the table's aliases.
     """
 
     num_cores: int = 1

@@ -44,15 +44,6 @@ class Prefetcher:
         at the first interval boundary.)
         """
 
-    def rewind(self, count: int) -> None:
-        """The memory system could not accept the last ``count`` candidates.
-
-        Stream-style prefetchers roll their pointer back so the lines are
-        re-attempted on the next trigger instead of being skipped forever
-        (a real stream engine's prefetch pointer only advances when a
-        request actually issues).  Table-based prefetchers ignore this.
-        """
-
 
 class NullPrefetcher(Prefetcher):
     """Prefetching disabled."""

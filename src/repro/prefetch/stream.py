@@ -25,15 +25,15 @@ order, so ``on_access`` scans the few entries near the line instead of
 the whole table and still finds the first match in allocation order
 (windows may overlap, and which one matches decides what trains).  The
 index is kept at the mutation sites: allocation and eviction, training,
-a trigger whose window crosses a bucket boundary, and rewind.  Recency
-lives in an ``OrderedDict`` (least recently used first), so allocation
-finds its victim without scanning the table.
+and a trigger whose window crosses a bucket boundary.  Recency lives in
+an ``OrderedDict`` (least recently used first), so allocation finds its
+victim without scanning the table.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.prefetch.base import Prefetcher
 
@@ -71,7 +71,6 @@ class StreamPrefetcher(Prefetcher):
         # Every live entry, least recently matched or allocated first.
         self._lru: "OrderedDict[StreamEntry, None]" = OrderedDict()
         self._allocated = 0
-        self._last_triggered: Optional[StreamEntry] = None
 
     @property
     def entries(self) -> List[StreamEntry]:
@@ -91,8 +90,6 @@ class StreamPrefetcher(Prefetcher):
             # reused for the new stream.
             entry = next(iter(lru))
             lru.move_to_end(entry)
-            if entry is self._last_triggered:
-                self._last_triggered = None
             last = entry.hi >> _BUCKET_BITS
             for key in range(entry.lo >> _BUCKET_BITS, last + 1):
                 bucket = buckets[key]
@@ -169,7 +166,6 @@ class StreamPrefetcher(Prefetcher):
             # then shift the region forward by the same amount.  The
             # window is re-filed only when an end crosses a bucket
             # boundary (about one trigger in 32/degree).
-            self._last_triggered = entry
             degree = self.degree
             lo = entry.lo
             hi = entry.hi
@@ -197,19 +193,3 @@ class StreamPrefetcher(Prefetcher):
             entry.direction = -1
             self._move(entry, start - self.distance, start)
         return []
-
-    def rewind(self, count: int) -> None:
-        """Roll the last triggered stream back ``count`` lines.
-
-        Called when the memory system rejected the tail of the last
-        candidate batch (MSHR or request buffer full): the monitoring
-        region retreats so the same lines are re-attempted on the next
-        trigger rather than skipped (which would permanently lose
-        coverage, the effect paper §6.1 attributes to full buffers).
-        An evicted stream is no longer tracked, so it is not rewound.
-        """
-        entry = self._last_triggered
-        if entry is None or count <= 0:
-            return
-        retreat = min(count, self.degree) * entry.direction
-        self._move(entry, entry.lo - retreat, entry.hi - retreat)

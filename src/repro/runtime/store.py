@@ -46,7 +46,11 @@ from repro.sim.results import SimResult
 # v6: trace subsystem (PR 8): job payloads canonicalize workloads
 #     through canonical_workload — file-backed workloads key by their
 #     embedded content digest plus windowing knobs, never by path.
-CACHE_VERSION = 6
+# v7: the config loses three fields no run set (the skip-less stream
+#     prefetcher, serial column accesses and an unread L2 hit latency),
+#     so every job key moves once; no result of a run at the defaults
+#     changes.
+CACHE_VERSION = 7
 
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 

@@ -104,7 +104,6 @@ def run_loop(
     telemetry_on = system._telemetry_on
     runahead = config.core.runahead
     runahead_depth = config.core.runahead_max_depth
-    skipless = config.prefetcher.skipless
     collect_service_times = system.collect_service_times
     pf_service_pending = system._pf_service_pending
     mshr_waiters = system._mshr_waiters
@@ -186,7 +185,6 @@ def run_loop(
         num_sets = cache.num_sets
         mshr_entries = mshr._entries
         mshr_cap = mshr.capacity - _DEMAND_MSHR_RESERVE
-        rejected_tail = 0
         for index, candidate in enumerate(candidates):
             # Direct membership probes: a resident or in-flight line is
             # never requested again.
@@ -195,9 +193,10 @@ def run_loop(
             if ddpf is not None and not ddpf.allow(candidate, pc):
                 stats.pf_filtered += 1
                 continue
+            # A full MSHR file or request buffer drops the rest of the
+            # batch; the stream has already moved past it (paper §6.1).
             if len(mshr_entries) >= mshr_cap:
                 stats.pf_mshr_rejected += len(candidates) - index
-                rejected_tail = len(candidates) - index
                 break
             # Fused fork of build_request + enqueue_prefetch +
             # earliest_service (decode constants prebound; the engine's
@@ -218,7 +217,6 @@ def run_loop(
             if e_occupancy[channel] >= buffer_size:
                 e_stats.prefetches_rejected_full += 1
                 stats.pf_rejected_full += len(candidates) - index
-                rejected_tail = len(candidates) - index
                 break
             e_stats.enqueued_total += 1
             admit(request, channel, bank_idx)
@@ -241,11 +239,6 @@ def run_loop(
                 tick_pending[channel] = time
                 seq += 1
                 heappush(heap, (time, seq, _TICK, channel))
-        if rejected_tail and skipless and prefetchers[core_id] is not None:
-            # Optional skip-less mode: stream prefetchers re-attempt the
-            # rejected lines on the next trigger instead of dropping them
-            # (the paper's prefetcher drops them, losing coverage).
-            prefetchers[core_id].rewind(rejected_tail)
 
     def run_runahead(core, now):
         # Runahead execution (paper §6.14): issue the core's future

@@ -10,11 +10,10 @@ from repro.dram.bank import RowBufferState
 from repro.dram.channel import Channel
 from repro.params import DRAMConfig, DRAMTimings
 
-PIPE = DRAMTimings(pipelined_cas=True)
-SERIAL = DRAMTimings(pipelined_cas=False)
+TIMINGS = DRAMTimings()
 
 
-def make_channel(timings=PIPE):
+def make_channel(timings=TIMINGS):
     return Channel(DRAMConfig(timings=timings))
 
 
@@ -48,7 +47,7 @@ class TestClassification:
 
 class TestLatency:
     # The data arrives one command sequence plus one burst after the
-    # access starts, whether the column access pipelines or not.
+    # access starts.
 
     def test_closed_latency(self, timings):
         _, latency, _ = access(make_channel(timings), 1)
@@ -66,25 +65,20 @@ class TestLatency:
         _, latency, _ = access(channel, 2)
         assert latency == timings.t_rp + timings.t_rcd + timings.cl + timings.burst
 
-    # The bank is held for its pre-burst work plus the burst.
+    # The bank is held for its row commands plus the burst; the column
+    # access pipelines, so its CL follows the burst.
 
     def test_pre_burst_work_pipelined_hit_is_free(self):
-        channel = make_channel(PIPE)
+        channel = make_channel()
         access(channel, 1)
         _, _, occupancy = access(channel, 1)
-        assert occupancy == PIPE.burst
-
-    def test_pre_burst_work_serialized_hit_costs_cl(self):
-        channel = make_channel(SERIAL)
-        access(channel, 1)
-        _, _, occupancy = access(channel, 1)
-        assert occupancy == SERIAL.cl + SERIAL.burst
+        assert occupancy == TIMINGS.burst
 
     def test_pre_burst_work_conflict(self):
-        channel = make_channel(PIPE)
+        channel = make_channel()
         access(channel, 1)
         _, _, occupancy = access(channel, 2)
-        assert occupancy == PIPE.t_rp + PIPE.t_rcd + PIPE.burst
+        assert occupancy == TIMINGS.t_rp + TIMINGS.t_rcd + TIMINGS.burst
 
 
 class TestStateTransitions:

@@ -9,12 +9,11 @@ from repro.dram.bank import RowBufferState
 from repro.dram.channel import Channel
 from repro.params import DRAMConfig, DRAMTimings
 
-PIPE = DRAMTimings(pipelined_cas=True)
-SERIAL = DRAMTimings(pipelined_cas=False)
+TIMINGS = DRAMTimings()
 
 
-def make_channel(timings=PIPE, banks=8):
-    return Channel(DRAMConfig(timings=timings, banks_per_channel=banks))
+def make_channel():
+    return Channel(DRAMConfig())
 
 
 class TestPipelinedTiming:
@@ -23,7 +22,7 @@ class TestPipelinedTiming:
         state, completion = channel.service(0, row=1, now=0)
         assert state is RowBufferState.CLOSED
         # tRCD work + burst + CL pipe delay.
-        assert completion == PIPE.t_rcd + PIPE.burst + PIPE.cl
+        assert completion == TIMINGS.t_rcd + TIMINGS.burst + TIMINGS.cl
 
     def test_row_hits_stream_at_burst_rate(self):
         """Back-to-back row hits deliver one line per burst time."""
@@ -31,8 +30,8 @@ class TestPipelinedTiming:
         channel.service(0, row=1, now=0)
         free = channel.banks[0].busy_until
         _, first = channel.service(0, row=1, now=free)
-        _, second = channel.service(0, row=1, now=free + PIPE.burst)
-        assert second - first == PIPE.burst
+        _, second = channel.service(0, row=1, now=free + TIMINGS.burst)
+        assert second - first == TIMINGS.burst
 
     def test_conflict_pays_precharge_and_activate(self):
         channel = make_channel()
@@ -40,14 +39,15 @@ class TestPipelinedTiming:
         free = channel.banks[0].busy_until
         state, completion = channel.service(0, row=2, now=free)
         assert state is RowBufferState.CONFLICT
-        assert completion == free + PIPE.t_rp + PIPE.t_rcd + PIPE.burst + PIPE.cl
+        commands = TIMINGS.t_rp + TIMINGS.t_rcd
+        assert completion == free + commands + TIMINGS.burst + TIMINGS.cl
 
     def test_bus_serializes_across_banks(self):
         """Two simultaneous bursts from different banks queue on the bus."""
         channel = make_channel()
         _, first = channel.service(0, row=1, now=0)
         _, second = channel.service(1, row=1, now=0)
-        assert second - first == PIPE.burst
+        assert second - first == TIMINGS.burst
 
     def test_bus_granted_in_scheduling_order(self):
         """A later-scheduled burst never overtakes an earlier one.
@@ -61,21 +61,7 @@ class TestPipelinedTiming:
         free0 = channel.banks[0].busy_until
         _, conflict = channel.service(0, row=2, now=free0)
         _, later_hit = channel.service(1, row=1, now=free0)
-        assert later_hit > conflict - PIPE.cl  # burst follows the conflict's
-
-
-class TestSerializedTiming:
-    def test_row_hit_occupies_bank_for_cl(self):
-        channel = make_channel(timings=SERIAL)
-        channel.service(0, row=1, now=0)
-        free = channel.banks[0].busy_until
-        _, completion = channel.service(0, row=1, now=free)
-        assert completion == free + SERIAL.cl + SERIAL.burst
-
-    def test_no_cl_pipe_delay_after_burst(self):
-        channel = make_channel(timings=SERIAL)
-        _, completion = channel.service(0, row=1, now=0)
-        assert completion == SERIAL.t_rcd + SERIAL.cl + SERIAL.burst
+        assert later_hit > conflict - TIMINGS.cl  # burst follows the conflict's
 
 
 class TestChannelBookkeeping:

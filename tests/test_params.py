@@ -1,9 +1,13 @@
 """Unit tests for configuration dataclasses and the baseline builder."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import params
 from repro.params import (
     ALL_POLICIES,
     CacheConfig,
@@ -136,3 +140,30 @@ class TestBaselineConfig:
     def test_all_policies_constant(self):
         assert "padc" in ALL_POLICIES
         assert "demand-first" in ALL_POLICIES
+
+
+def test_every_config_field_is_read():
+    """Each field of a ``repro.params`` dataclass is read somewhere in the
+    package: a field nothing reads changes only the job key.
+
+    A field counts as read when its name appears as an attribute load
+    anywhere under ``src/repro``, whatever the object.
+    """
+    read = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    classes = [
+        value
+        for value in vars(params).values()
+        if dataclasses.is_dataclass(value) and value.__module__ == params.__name__
+    ]
+    assert SystemConfig in classes
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in classes
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert unread == []

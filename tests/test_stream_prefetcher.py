@@ -108,42 +108,6 @@ class TestPrefetchIssue:
         assert all(address >= 0 for address in candidates)
 
 
-class TestRewind:
-    def test_rewind_retreats_region(self):
-        prefetcher = make_prefetcher()
-        prefetcher.on_access(100, was_hit=False)
-        prefetcher.on_access(101, was_hit=False)
-        prefetcher.on_access(102, was_hit=True)
-        entry = prefetcher.entries[0]
-        lo, hi = entry.lo, entry.hi
-        prefetcher.rewind(2)
-        assert (entry.lo, entry.hi) == (lo - 2, hi - 2)
-
-    def test_rewound_lines_reissued_on_next_trigger(self):
-        prefetcher = make_prefetcher()
-        prefetcher.on_access(100, was_hit=False)
-        prefetcher.on_access(101, was_hit=False)
-        first = prefetcher.on_access(102, was_hit=True)
-        prefetcher.rewind(4)  # nothing was accepted
-        second = prefetcher.on_access(104, was_hit=True)
-        assert second == first
-
-    def test_rewind_without_trigger_is_noop(self):
-        prefetcher = make_prefetcher()
-        prefetcher.rewind(4)  # no stream yet; must not crash
-
-    def test_rewind_capped_at_degree(self):
-        prefetcher = make_prefetcher()
-        prefetcher.on_access(100, was_hit=False)
-        prefetcher.on_access(101, was_hit=False)
-        prefetcher.on_access(102, was_hit=True)
-        entry = prefetcher.entries[0]
-        lo, hi = entry.lo, entry.hi
-        prefetcher.rewind(100)
-        degree = prefetcher.degree
-        assert (entry.lo, entry.hi) == (lo - degree, hi - degree)
-
-
 class TestAggressiveness:
     def test_set_aggressiveness(self):
         prefetcher = make_prefetcher()
@@ -170,7 +134,6 @@ class ReferenceStreams:
         self.train_distance = train_distance
         self.entries = []
         self.tick = 0
-        self.last_triggered = None
 
     def set_aggressiveness(self, degree, distance):
         self.degree = degree
@@ -199,18 +162,8 @@ class ReferenceStreams:
         match[2] += shift
         match[4] += shift
         match[5] += shift
-        self.last_triggered = match
         batch = [edge + step * direction for step in range(1, self.degree + 1)]
         return [address for address in batch if address >= 0]
-
-    def rewind(self, count):
-        entry = self.last_triggered
-        if entry is None or count <= 0:
-            return
-        retreat = min(count, self.degree) * entry[1]
-        entry[2] -= retreat
-        entry[4] -= retreat
-        entry[5] -= retreat
 
 
 # Accesses come from a few walkers that step through lines, mostly a
@@ -226,14 +179,13 @@ _steps = st.one_of(
 _access = st.tuples(
     st.just("access"), st.integers(0, 3), _steps, st.booleans(), st.booleans()
 )
-_rewind = st.tuples(st.just("rewind"), st.integers(0, 90))
 _aggressiveness = st.tuples(
     st.just("aggressiveness"), st.integers(1, 80), st.integers(4, 160)
 )
-# Six accesses to each rewind or aggressiveness move; a list long enough
-# for the table to fill and its windows to move.
+# Six accesses to each aggressiveness move; a list long enough for the
+# table to fill and its windows to move.
 _operations = st.lists(
-    st.one_of(*[_access] * 6, _rewind, _aggressiveness), min_size=60, max_size=250
+    st.one_of(*[_access] * 6, _aggressiveness), min_size=60, max_size=250
 )
 
 
@@ -267,9 +219,6 @@ class TestAgainstLinearScan:
                 assert prefetcher.on_access(
                     line, was_hit, allocate=allocate
                 ) == reference.on_access(line, was_hit, allocate)
-            elif operation[0] == "rewind":
-                prefetcher.rewind(operation[1])
-                reference.rewind(operation[1])
             else:
                 prefetcher.set_aggressiveness(*operation[1:])
                 reference.set_aggressiveness(*operation[1:])
